@@ -63,9 +63,6 @@ void BM_FenceLatency_Epoch(benchmark::State& state) {
 void BM_FenceLatency_PaperBoolean(benchmark::State& state) {
   fence_latency(state, rt::FenceMode::kPaperBoolean);
 }
-void BM_FenceLatency_GracePeriod(benchmark::State& state) {
-  fence_latency(state, rt::FenceMode::kGracePeriodEpoch);
-}
 
 void apply_args(benchmark::internal::Benchmark* b) {
   // workers × txn busy-work spins: latency should scale with txn length.
@@ -79,7 +76,6 @@ void apply_args(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_FenceLatency_Epoch)->Apply(apply_args);
 BENCHMARK(BM_FenceLatency_PaperBoolean)->Apply(apply_args);
-BENCHMARK(BM_FenceLatency_GracePeriod)->Apply(apply_args);
 
 // Idle fence cost (no transactions at all): the floor.
 void BM_FenceLatency_Idle(benchmark::State& state) {

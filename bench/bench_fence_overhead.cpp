@@ -16,23 +16,22 @@
 //                   privatizers pay N redundant scans and N redundant
 //                   waits, and the blocking API caps each thread at one
 //                   fence per grace period;
-//   * "coalesced" — the same blocking fence() over shared grace periods
-//                   (FenceMode::kGracePeriodEpoch): concurrent fences ride
-//                   one registry scan per grace period;
-//   * "async"     — the coalesced engine driven through fence_async():
-//                   each privatizer keeps a depth-3 pipeline of tickets in
-//                   flight, so grace periods elapse underneath subsequent
-//                   claims and a thread retires several fences per grace
-//                   period — the deferred-privatization idiom.
+//   * "async"     — the coalesced grace-period engine driven through
+//                   fence_async(): concurrent tickets ride one registry
+//                   scan per grace period, and each privatizer keeps a
+//                   depth-3 pipeline of tickets in flight, so grace periods
+//                   elapse underneath subsequent claims and a thread
+//                   retires several fences per grace period — the
+//                   deferred-privatization idiom.
 // The sweep persists BENCH_fence_overhead.json (fences/s per mode × thread
-// count plus the coalesced-engine/scan ratios at the top thread count) so
-// the perf trajectory is comparable across PRs.
+// count plus the async/scan ratio at the top thread count) so the perf
+// trajectory is comparable across PRs.
 //
 // This binary has its own main(): it always runs the E14 sweep (and with
 // `--quick` only that, against smaller sizes, writing the .quick.json
 // variant — the CI smoke configuration). `--check` exits nonzero if the
-// coalesced mode regresses below the per-fence-scan mode at the top
-// measured thread count — the CI regression gate for the subsystem.
+// async mode regresses below the per-fence-scan mode at the top measured
+// thread count — the CI regression gate for the subsystem.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -113,14 +112,12 @@ BENCHMARK(BM_FenceOverhead_SkipRO)->Apply(apply_args);
 // E14: multi-privatizer fence throughput (the persisted matrix).
 // ---------------------------------------------------------------------------
 
-enum class StormMode { kScan, kCoalesced, kAsync };
+enum class StormMode { kScan, kAsync };
 
 const char* storm_mode_name(StormMode m) {
   switch (m) {
     case StormMode::kScan:
       return "scan";
-    case StormMode::kCoalesced:
-      return "coalesced";
     case StormMode::kAsync:
       return "async";
   }
@@ -134,7 +131,7 @@ struct StormParams {
   std::uint32_t churn_txn_spins = 20000;  ///< busy work per churn transaction
   /// Per-round private work on the privatized buffer, off-CPU (an I/O-like
   /// pipeline stage: flush/process the buffer) — 0 keeps the privatizers
-  /// fence-bound, which is the regime the coalesced/async engines target.
+  /// fence-bound, which is the regime the async engine targets.
   std::uint32_t work_us = 0;
 };
 
@@ -153,8 +150,8 @@ struct FenceRow {
 ///   claim (txn) → fence → private work (`work_us` off-CPU per buffer).
 /// Under the per-fence-scan engine every privatizer pays its own grace
 /// period against the churn on the critical path of every round; the
-/// coalesced engine shares one registry scan per grace period among all
-/// concurrent fences; the async mode software-pipelines three buffers
+/// async mode shares one registry scan per grace period among all
+/// concurrent tickets and software-pipelines three buffers
 /// with two tickets in flight — claim B_i and *issue* its fence, work on
 /// B_{i-2} (whose ticket was completed at the top of the round) — so the
 /// grace period elapses entirely underneath useful work instead of
@@ -169,9 +166,6 @@ FenceRow run_fence_storm(StormMode mode, const StormParams& p) {
   const std::size_t all_threads = p.threads + p.background_threads;
   tm::TmConfig config;
   config.num_registers = 4 * all_threads + 2;
-  config.fence_mode = mode == StormMode::kScan
-                          ? rt::FenceMode::kEpochCounter
-                          : rt::FenceMode::kGracePeriodEpoch;
   auto tmi = tm::make_tm(TmKind::kTl2Fused, config);
 
   std::atomic<bool> stop{false};
@@ -287,8 +281,7 @@ std::vector<FenceRow> run_storm_matrix(bool quick) {
 
   std::vector<FenceRow> rows;
   for (const std::size_t threads : threads_sweep) {
-    for (const StormMode mode :
-         {StormMode::kScan, StormMode::kCoalesced, StormMode::kAsync}) {
+    for (const StormMode mode : {StormMode::kScan, StormMode::kAsync}) {
       p.threads = threads;
       (void)run_fence_storm(mode, p);  // warm-up
       FenceRow best = run_fence_storm(mode, p);
@@ -316,13 +309,12 @@ double mode_rate_at(const std::vector<FenceRow>& rows, const char* mode,
 
 bool write_fence_json(const std::string& path,
                       const std::vector<FenceRow>& rows, double async_ratio,
-                      double sync_ratio, std::size_t top_threads) {
+                      std::size_t top_threads) {
   std::ofstream out(path);
   if (!out) return false;
-  out << "{\n  \"bench\": \"fence_overhead\",\n  \"schema\": 1,\n"
+  out << "{\n  \"bench\": \"fence_overhead\",\n  \"schema\": 2,\n"
       << "  \"top_threads\": " << top_threads << ",\n"
       << "  \"coalesced_async_vs_scan\": " << async_ratio << ",\n"
-      << "  \"coalesced_sync_vs_scan\": " << sync_ratio << ",\n"
       << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
@@ -359,27 +351,20 @@ int main(int argc, char** argv) {
   for (const auto& r : rows) top_threads = std::max(top_threads, r.threads);
   const double scan =
       privstm::bench::mode_rate_at(rows, "scan", top_threads);
-  const double coalesced =
-      privstm::bench::mode_rate_at(rows, "coalesced", top_threads);
   const double async_rate =
       privstm::bench::mode_rate_at(rows, "async", top_threads);
   // The headline number: the coalesced grace-period engine used the way
   // it is meant to be used under multi-privatizer load (deferred tickets,
-  // pipelined) against the per-fence-scan baseline. The sync-coalesced
-  // ratio is reported alongside: on few-core hosts it hovers around 1x
-  // (it removes redundant scan work, not scheduler-bound wait latency).
+  // pipelined) against the per-fence-scan baseline.
   const double async_ratio = scan > 0.0 ? async_rate / scan : 0.0;
-  const double sync_ratio = scan > 0.0 ? coalesced / scan : 0.0;
   std::cout << "coalesced-engine (async, pipelined) vs scan ("
             << top_threads << " threads): " << async_ratio << "x\n";
-  std::cout << "coalesced-engine (sync) vs scan (" << top_threads
-            << " threads): " << sync_ratio << "x\n";
 
   // Quick (smoke) results go to a separate file so a pre-push `ci.sh` run
   // never clobbers the committed full-matrix trajectory.
   const char* path =
       quick ? "BENCH_fence_overhead.quick.json" : "BENCH_fence_overhead.json";
-  if (privstm::bench::write_fence_json(path, rows, async_ratio, sync_ratio,
+  if (privstm::bench::write_fence_json(path, rows, async_ratio,
                                        top_threads)) {
     std::cout << "wrote " << rows.size() << " rows to " << path << "\n";
   } else {
@@ -388,7 +373,7 @@ int main(int argc, char** argv) {
   }
 
   if (check && async_ratio < 1.0) {
-    std::cerr << "FAIL: the coalesced fence engine regressed below the "
+    std::cerr << "FAIL: the async fence engine regressed below the "
                  "per-fence-scan mode ("
               << async_ratio << "x at " << top_threads << " threads)\n";
     return 1;

@@ -129,14 +129,13 @@ void run_privatization_phases(benchmark::State& state, TmKind kind,
 // the round's critical path; the deferred variant issues the fence ticket,
 // commits the NEXT round's write transaction underneath the grace period,
 // and completes the ticket afterwards — the fence_async() idiom end to end
-// on the shared quiescence subsystem (kGracePeriodEpoch).
+// on the shared quiescence subsystem's grace-period engine.
 void run_write_then_privatize(benchmark::State& state, TmKind kind,
                               bool deferred) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   constexpr int kRounds = 400;
   tm::TmConfig config;
   config.num_registers = 2 * threads + 2;
-  config.fence_mode = rt::FenceMode::kGracePeriodEpoch;
   auto tmi = tm::make_tm(kind, config);
 
   std::uint64_t rounds = 0;

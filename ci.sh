@@ -39,7 +39,7 @@ ctest --test-dir build --output-on-failure -j"$(nproc)"
 ./build/bench_tm_throughput --quick
 
 # Smoke-run the multi-privatizer fence matrix (writes
-# BENCH_fence_overhead.quick.json). --check fails the run if the coalesced
+# BENCH_fence_overhead.quick.json). --check fails the run if the async
 # grace-period engine regresses below the per-fence-scan mode.
 ./build/bench_fence_overhead --quick --check
 
@@ -94,13 +94,14 @@ fi
 # explorer's canonical heap model) — language-driven alloc/free/reuse is
 # exactly where the sanitizers pay for themselves. A focused ctest filter
 # keeps the pass within CI budget; SKIP_ASAN=1 skips it for quick local
-# iterations.
+# iterations. --no-tests=error makes a filter that matches nothing (its
+# suites deleted or renamed) fail instead of passing vacuously.
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DPRIVSTM_SANITIZE=ON \
     -DPRIVSTM_BUILD_BENCH=OFF -DPRIVSTM_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j"$(nproc)"
-  ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-    -R 'Heap|StripeTable|StripeRegion|Alloc|Adt|TmSemantics|Fence\.|Reclamation|Quiescence|ExplorerHandles|Interp\.AllocFree|Clock|Service|Histogram|Zipf|Adaptive'
+  ctest --test-dir build-asan --output-on-failure --no-tests=error \
+    -j"$(nproc)" -R 'Heap|StripeTable|StripeRegion|Alloc|Adt|TmSemantics|Fence\.|Reclamation|Quiescence|ExplorerHandles|Interp\.AllocFree|Clock|Service|Histogram|Zipf|Adaptive'
 fi
 
 # ThreadSanitizer gate (third sanitizer config — TSan cannot coexist with
@@ -109,11 +110,12 @@ fi
 # contention-manager storms, fault-injected backend commits, fences and
 # quiescence, and the concurrent allocator. A focused filter keeps the
 # (TSan-slowed) pass within CI budget; SKIP_TSAN=1 skips it locally.
+# --no-tests=error as in the ASan gate.
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DPRIVSTM_SANITIZE=thread \
     -DPRIVSTM_BUILD_BENCH=OFF -DPRIVSTM_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j"$(nproc)"
-  ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-    -R 'Contention|StarvationStorm|RetryUnderInjection|FaultInj|Quiescence|Fence\.|Alloc|Adt|Clock|Service|Histogram|Zipf|Adaptive'
+  ctest --test-dir build-tsan --output-on-failure --no-tests=error \
+    -j"$(nproc)" -R 'Contention|StarvationStorm|RetryUnderInjection|FaultInj|Quiescence|Fence\.|Alloc|Adt|Clock|Service|Histogram|Zipf|Adaptive'
 fi

@@ -15,7 +15,7 @@
 //   * synchronous — fence() blocks between claim and the NT work;
 //   * deferred    — fence_async() issues a ticket right after the claim,
 //     the worker keeps doing useful *transactional* bookkeeping while the
-//     grace period elapses (coalesced kGracePeriodEpoch engine), and only
+//     grace period elapses (the coalesced grace-period engine), and only
 //     then completes the ticket and touches the buffer uninstrumented.
 //
 // The invariant checked at the end of each phase: every buffer's content
@@ -121,11 +121,9 @@ bool run_pipeline(bool deferred) {
   tm::TmConfig config;
   config.num_registers =
       kBuffers + kBuffers * kCellsPerBuffer + static_cast<std::size_t>(kWorkers);
+  // The deferred phase's tickets run on the coalesced grace-period
+  // engine; the sync phase's fence() runs the per-fence registry scan.
   config.fence_policy = tm::FencePolicy::kSelective;
-  // The deferred phase exercises the coalesced grace-period engine (async
-  // tickets always run on it); the sync phase uses the per-fence scan.
-  config.fence_mode = deferred ? rt::FenceMode::kGracePeriodEpoch
-                               : rt::FenceMode::kEpochCounter;
   auto tmi = tm::make_tm(tm::TmKind::kTl2, config);
 
   std::vector<std::size_t> phases_done(kWorkers, 0);

@@ -1,33 +1,12 @@
 // The TL2 global version clock (`clock` in Fig 9).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 
 #include "runtime/cacheline.hpp"
 
 namespace privstm::rt {
-
-/// How a TL2-family backend mints commit stamps (TmConfig::clock_mode).
-enum class ClockMode : std::uint8_t {
-  /// Unconditional fetch_add per writer commit — the faithful Fig 9 shape.
-  kFetchAdd = 0,
-  /// GV4 commit batching: one CAS attempt; on failure adopt the stamp the
-  /// failed CAS reloaded (see advance_if_stale for the soundness argument).
-  /// Single-threaded the CAS never fails, so this is behavior-identical to
-  /// kFetchAdd there — which is why it is safe as the default even for the
-  /// deterministic model-checked configurations.
-  kBatched,
-  /// kBatched minting plus per-shard *sample* cells: transaction-begin
-  /// reads hit a padded per-shard copy of the clock instead of the
-  /// committers' line. A stale cell can only make rver smaller, which is
-  /// always safe (more validation aborts, never fewer), so this trades
-  /// spurious aborts under heavy cross-shard traffic for zero begin-time
-  /// bouncing. Opt-in: programs that assert postconditions without
-  /// retrying aborted transactions should not run under it.
-  kShardedSample,
-};
 
 /// Monotone global counter. `sample()` is the transaction-begin read
 /// (rver := clock); `advance()` is the commit-time
@@ -38,10 +17,6 @@ enum class ClockMode : std::uint8_t {
 class alignas(kCacheLine) GlobalClock {
  public:
   using Stamp = std::uint64_t;
-
-  /// Upper bound on per-shard sample cells (kShardedSample mode). Matches
-  /// tm::alloc::kMaxAllocShards — one cell per allocator shard.
-  static constexpr std::size_t kMaxSampleShards = 8;
 
   Stamp sample() const noexcept {
     return now_.load(std::memory_order_acquire);
@@ -92,40 +67,12 @@ class alignas(kCacheLine) GlobalClock {
     return advance_from(now_.load(std::memory_order_acquire), shared);
   }
 
-  /// Transaction-begin read against shard `shard`'s padded sample cell
-  /// (kShardedSample mode). The cell trails the real clock — it is only
-  /// refreshed by commits routed through the same shard — which is safe:
-  /// a smaller rver can only add validation aborts, never admit a stale
-  /// read (the stripe-version check is against wver, not rver).
-  Stamp sample_sharded(std::size_t shard) const noexcept {
-    return cells_[shard]->load(std::memory_order_acquire);
-  }
-
-  /// Publish a freshly minted/shared commit stamp to shard `shard`'s
-  /// sample cell so its readers start from it. Monotonicity per cell is
-  /// free: every publisher writes a stamp >= the cell's current value
-  /// modulo racing publishers, and a lost older stamp only lowers rver.
-  void publish_sharded(std::size_t shard, Stamp stamp) noexcept {
-    cells_[shard]->store(stamp, std::memory_order_release);
-  }
-
-  /// Re-sync shard `shard`'s cell with the real clock — the abort-path
-  /// antidote to staleness (an aborted reader refreshes its shard before
-  /// retrying, so a dormant shard cannot spin forever on old stamps).
-  void refresh_sharded(std::size_t shard) noexcept {
-    cells_[shard]->store(now_.load(std::memory_order_acquire),
-                         std::memory_order_release);
-  }
-
   void reset() noexcept {
     now_.store(0, std::memory_order_release);
-    for (auto& c : cells_) c->store(0, std::memory_order_release);
   }
 
  private:
   std::atomic<Stamp> now_{0};
-  /// Per-shard sample cells, each on its own line (kShardedSample only).
-  std::array<CacheAligned<std::atomic<Stamp>>, kMaxSampleShards> cells_{};
 };
 
 }  // namespace privstm::rt

@@ -19,12 +19,8 @@ const char* fence_policy_name(FencePolicy p) noexcept {
 }
 
 void QuiescenceManager::fence(std::size_t stat_slot) noexcept {
-  if (mode_ != FenceMode::kGracePeriodEpoch) {
-    registry_.quiesce(mode_);
-    stats_.add(stat_slot, Counter::kFence);
-    return;
-  }
-  (void)drive(grace_period_target(), stat_slot, /*block=*/true);
+  registry_.quiesce(mode_);
+  stats_.add(stat_slot, Counter::kFence);
 }
 
 FenceTicket QuiescenceManager::fence_async(std::size_t stat_slot) noexcept {
@@ -35,13 +31,18 @@ FenceTicket QuiescenceManager::fence_async(std::size_t stat_slot) noexcept {
 bool QuiescenceManager::fence_try_complete(FenceTicket ticket,
                                            std::size_t stat_slot) noexcept {
   if (ticket == kNullFenceTicket) return true;
-  return drive(ticket, stat_slot, /*block=*/false);
+  bool self_finished = false;
+  if (!drive(ticket, /*block=*/false, self_finished)) return false;
+  count_fence(stat_slot, self_finished);
+  return true;
 }
 
 void QuiescenceManager::fence_wait(FenceTicket ticket,
                                    std::size_t stat_slot) noexcept {
   if (ticket == kNullFenceTicket) return;
-  (void)drive(ticket, stat_slot, /*block=*/true);
+  bool self_finished = false;
+  (void)drive(ticket, /*block=*/true, self_finished);
+  count_fence(stat_slot, self_finished);
 }
 
 FenceTicket QuiescenceManager::grace_period_target() noexcept {
@@ -149,12 +150,9 @@ bool QuiescenceManager::poll_scan() noexcept {
   return finished;
 }
 
-bool QuiescenceManager::drive(FenceTicket ticket, std::size_t stat_slot,
-                              bool block) noexcept {
-  // self_finished: this thread performed the bump that reached the ticket.
-  // A fence that completes without it rode another fence's scan — the
-  // observable mark of coalescing.
-  bool self_finished = false;
+bool QuiescenceManager::drive(FenceTicket ticket, bool block,
+                              bool& self_finished) noexcept {
+  self_finished = false;
   Backoff backoff;
   while (seq_->load(std::memory_order_acquire) < ticket) {
     bool progressed = try_start_scan();
@@ -170,28 +168,19 @@ bool QuiescenceManager::drive(FenceTicket ticket, std::size_t stat_slot,
       backoff.pause();
     }
   }
-  stats_.add(stat_slot, Counter::kFence);
-  if (!self_finished) stats_.add(stat_slot, Counter::kFenceCoalesced);
   return true;
 }
 
-bool QuiescenceManager::drive_nostat(FenceTicket ticket, bool block) noexcept {
-  Backoff backoff;
-  while (seq_->load(std::memory_order_acquire) < ticket) {
-    bool progressed = try_start_scan();
-    if (poll_scan()) progressed = true;
-    if (seq_->load(std::memory_order_acquire) >= ticket) break;
-    if (!progressed) {
-      if (!block) return false;
-      backoff.pause();
-    }
-  }
-  return true;
+void QuiescenceManager::count_fence(std::size_t stat_slot,
+                                    bool self_finished) noexcept {
+  stats_.add(stat_slot, Counter::kFence);
+  if (!self_finished) stats_.add(stat_slot, Counter::kFenceCoalesced);
 }
 
 bool QuiescenceManager::try_elapse_ticket(FenceTicket ticket) noexcept {
   if (ticket == kNullFenceTicket) return true;
-  return drive_nostat(ticket, /*block=*/false);
+  bool self_finished = false;
+  return drive(ticket, /*block=*/false, self_finished);
 }
 
 bool QuiescenceManager::ticket_elapsed(FenceTicket ticket) const noexcept {

@@ -3,49 +3,46 @@
 //
 // `QuiescenceManager` owns the thread registry, the fence policy/mode
 // dispatch and the fence statistics for one TM instance. Backends never
-// touch `ThreadRegistry::quiesce` directly any more — they fence through
-// the manager (via `tm::FenceSession`), which picks one of three engines:
+// touch `ThreadRegistry::quiesce` directly — they fence through the
+// manager (via `tm::FenceSession`). It runs two kinds of engine:
 //
-//  * kEpochCounter / kPaperBoolean — the per-fence-scan engines: every
-//    fence snapshots the claimed registry slots itself and waits them out
-//    (`ThreadRegistry::quiesce`). Simple, but N concurrent privatizers pay
-//    N redundant scans and N redundant grace-period waits.
+//  * Synchronous fences (`fence`) run one of the two per-fence registry
+//    scans, chosen by FenceMode: kEpochCounter (default) or kPaperBoolean
+//    (the literal Fig 7 loop). Every fence snapshots the claimed registry
+//    slots itself and waits them out (`ThreadRegistry::quiesce`).
 //
-//  * kGracePeriodEpoch — the coalesced engine. A single global sequence
+//  * Asynchronous fences (`fence_async` / `fence_try_complete` /
+//    `fence_wait`) and deferred-reclamation tickets (the tm/alloc limbo
+//    list) use the grace-period engine, whatever the FenceMode: a ticket
+//    must stay valid with no per-fence state. A single global sequence
 //    word `seq_` counts grace-period *scans*: even = no scan in flight,
-//    odd = a scan is in flight. A fence reads `s0 = seq_` and computes a
+//    odd = a scan is in flight. Issuing reads `s0 = seq_` and computes a
 //    ticket (target sequence): `s0 + 2` when `s0` is even — the first
 //    scan that *starts after the read* must also *finish*. Any waiter may
 //    elect itself the scanner (publish seq odd, then snapshot), and all
-//    waiters cooperatively poll the shared scan, so concurrent fences
+//    waiters cooperatively poll the shared scan, so concurrent tickets
 //    share one registry scan per grace period instead of one per fence —
-//    RCU-style `synchronize` coalescing.
+//    RCU-style `synchronize` coalescing. Issuing is O(1); completion is
+//    polled (`fence_try_complete`) or awaited (`fence_wait`) later, with
+//    every poller helping the shared scan forward.
 //
 //    Soundness of the even-s0 rule: the scanner publishes "scan in
-//    flight" (seq odd) *before* taking its snapshot. A fence that read
-//    `s0` even therefore read it before that transition, so the covering
-//    scan's snapshot postdates the fence's begin; every transaction
-//    active at fence begin is either finished or observed active (odd) by
-//    the snapshot and waited out — exactly condition 10 of Definition
-//    2.1.
+//    flight" (seq odd) *before* taking its snapshot. A ticket issued at
+//    an even `s0` therefore read it before that transition, so the
+//    covering scan's snapshot postdates the issue; every transaction
+//    active at issue is either finished or observed active (odd) by the
+//    snapshot and waited out — exactly condition 10 of Definition 2.1.
 //
 //    When `s0` is odd a scan is in flight whose snapshot may predate the
-//    fence, so it cannot cover it as-is — but the fence may *join* it at
-//    `s0 + 1` iff every slot the fence observes active right now is still
-//    in the scan's waiting set with the same activity-word value: the
-//    scan then completes only once each such word moved past the very
-//    value the fence saw, i.e. the observed transaction finished (words
+//    issue, so it cannot cover the ticket as-is — but the ticket may
+//    *join* it at `s0 + 1` iff every slot observed active right now is
+//    still in the scan's waiting set with the same activity-word value:
+//    the scan then completes only once each such word moved past the
+//    very value observed, i.e. the observed transaction finished (words
 //    are monotonic counters). Joining adds no requirement, so it never
-//    delays other fences and cannot livelock the scan; when the join test
-//    fails the fence falls back to the completion of the *next* scan
-//    (`s0 + 3`).
-//
-// The grace-period engine is also the substrate for *asynchronous* fences:
-// a `FenceTicket` is nothing but the target sequence value, so issuing a
-// fence is O(1) and completion can be polled (`fence_try_complete`) or
-// awaited (`fence_wait`) later, with every poller helping the shared scan
-// forward. Async fences always use this engine, whatever the configured
-// synchronous mode: a ticket must stay valid with no per-fence state.
+//    delays other tickets and cannot livelock the scan; when the join
+//    test fails the ticket falls back to the completion of the *next*
+//    scan (`s0 + 3`).
 #pragma once
 
 #include <array>
@@ -98,9 +95,9 @@ class QuiescenceManager {
   FencePolicy policy() const noexcept { return policy_; }
   FenceMode mode() const noexcept { return mode_; }
 
-  /// Blocking transactional fence in the configured mode. Counts kFence,
-  /// plus kFenceCoalesced when another thread's scan (partly) served us.
-  /// Policy gating (kNone → no-op) is the caller's job (tm::FenceSession).
+  /// Blocking transactional fence: the configured registry scan. Counts
+  /// kFence. Policy gating (kNone → no-op) is the caller's job
+  /// (tm::FenceSession).
   void fence(std::size_t stat_slot) noexcept;
 
   /// Issue an asynchronous fence: O(1), never blocks. Counts
@@ -163,7 +160,7 @@ class QuiescenceManager {
   bool ticket_elapsed(FenceTicket ticket) const noexcept;
 
  private:
-  /// Target sequence for a fence beginning now (see file comment).
+  /// Target sequence for a ticket issued now (see file comment).
   FenceTicket grace_period_target() noexcept;
 
   /// Elect this thread the scanner if no scan is in flight: publish seq
@@ -175,13 +172,16 @@ class QuiescenceManager {
   /// the completing bump (the discriminator behind kFenceCoalesced).
   bool poll_scan() noexcept;
 
-  /// Shared body of fence_try_complete / fence_wait: drive the engine
-  /// until the ticket completes (`block`) or progress stalls (!`block`).
-  /// Counts the fence stats on completion.
-  bool drive(FenceTicket ticket, std::size_t stat_slot, bool block) noexcept;
+  /// Shared body of fence_try_complete / fence_wait / try_elapse_ticket:
+  /// drive the engine until the ticket completes (`block`) or progress
+  /// stalls (!`block`); returns whether it completed. `self_finished`
+  /// reports whether THIS call performed the bump that reached the
+  /// ticket — a fence completing without it rode another thread's scan.
+  bool drive(FenceTicket ticket, bool block, bool& self_finished) noexcept;
 
-  /// drive() without the fence accounting (reclamation tickets).
-  bool drive_nostat(FenceTicket ticket, bool block) noexcept;
+  /// Fence accounting for a completed ticket: kFence, plus
+  /// kFenceCoalesced when another thread's scan (partly) served it.
+  void count_fence(std::size_t stat_slot, bool self_finished) noexcept;
 
   ThreadRegistry registry_;
   StatsDomain& stats_;

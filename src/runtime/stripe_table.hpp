@@ -91,7 +91,8 @@ class StripeTable {
   /// likewise rounded to a power of two and clamped so each region keeps
   /// at least two stripes. Collisions only ever *add* conflicts (see file
   /// comment); a pathological workload can still be tuned via
-  /// TmConfig::lock_stripes / stripe_regions.
+  /// TmConfig::lock_stripes. The TL2-family backends pass the allocator's
+  /// effective shard count as `regions`.
   explicit StripeTable(std::size_t stripes, std::size_t regions = 1) {
     std::size_t n = 2;
     unsigned bits = 1;

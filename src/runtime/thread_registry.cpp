@@ -14,8 +14,6 @@ const char* fence_mode_name(FenceMode m) noexcept {
       return "epoch-counter";
     case FenceMode::kPaperBoolean:
       return "paper-boolean";
-    case FenceMode::kGracePeriodEpoch:
-      return "grace-period-epoch";
   }
   return "?";
 }
@@ -99,9 +97,7 @@ void ThreadRegistry::quiesce(FenceMode mode) const noexcept {
       if (mode != FenceMode::kPaperBoolean) {
         // The counter moved on: the transaction observed in the snapshot has
         // completed (tx_exit bumped parity), regardless of how many
-        // transactions the thread has started since. (kGracePeriodEpoch
-        // handed to this raw scan degrades to the same semantics — the
-        // coalescing lives in QuiescenceManager.)
+        // transactions the thread has started since.
         if (a != snapshot[t]) break;
       } else {
         // Paper-faithful: `while (active[t]);` — wait to *observe* the

@@ -6,9 +6,11 @@
 // fence began has completed (committed or aborted) — exactly condition 10 of
 // Definition 2.1, and the same grace-period semantics as RCU [31].
 //
-// Three fence modes exist (DESIGN.md §5); this file implements the two
-// per-fence-scan ones, the coalesced third lives in rt::QuiescenceManager
-// (runtime/quiescence.hpp), which owns a registry and drives it:
+// A synchronous fence runs one of the two per-fence registry scans below
+// (FenceMode, DESIGN.md §5). Asynchronous fences and deferred-reclamation
+// tickets use the grace-period engine in rt::QuiescenceManager
+// (runtime/quiescence.hpp), which owns a registry and drives its words
+// with kEpochCounter semantics:
 //
 //  * kEpochCounter (default): the activity word is a counter; even means
 //    quiescent, odd means inside a transaction. tx_enter/tx_exit increment
@@ -20,13 +22,9 @@
 //  * kPaperBoolean: the literal two-loop algorithm of Fig 7 over a boolean
 //    flag (`r[t] := active[t]; ... while (active[t]);`). Faithful to the
 //    paper; can starve under continuous transactions (the word oscillates
-//    between 0 and 1 and the waiter may keep observing 1). Used by the
-//    litmus tests to demonstrate faithfulness, never by benchmarks.
-//
-//  * kGracePeriodEpoch: concurrent fences share one registry scan per
-//    global grace period instead of scanning per fence — see
-//    runtime/quiescence.hpp. Passing it to `quiesce` directly falls back
-//    to the kEpochCounter scan (same correctness, no coalescing).
+//    between 0 and 1 and the waiter may keep observing 1). The litmus
+//    tests run it to demonstrate faithfulness, and bench_fence_latency
+//    measures it as the reference against kEpochCounter.
 //
 // Scans cover only the claimed-slot prefix: `register_thread` maintains a
 // monotonic high-water mark published before a slot's owner can run its
@@ -43,9 +41,8 @@
 namespace privstm::rt {
 
 enum class FenceMode : std::uint8_t {
-  kEpochCounter,      ///< robust parity/grace-period fence (default)
-  kPaperBoolean,      ///< literal Fig 7 boolean scan
-  kGracePeriodEpoch,  ///< coalesced shared grace periods (QuiescenceManager)
+  kEpochCounter,  ///< robust parity/grace-period fence (default)
+  kPaperBoolean,  ///< literal Fig 7 boolean scan
 };
 
 const char* fence_mode_name(FenceMode m) noexcept;

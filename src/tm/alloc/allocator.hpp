@@ -69,8 +69,7 @@ namespace privstm::tm {
 
 /// Allocator tuning knobs (TmConfig::alloc).
 struct AllocConfig {
-  /// Upper bound on store shards (also bounds the clock's per-shard
-  /// sample cells — rt::GlobalClock::kMaxSampleShards matches it).
+  /// Upper bound on store shards.
   static constexpr std::size_t kMaxShards = 8;
 
   /// Blocks a per-thread, per-class magazine may hold; a refill fetches

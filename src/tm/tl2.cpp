@@ -12,7 +12,7 @@ using rt::VersionedLock;
 
 Tl2::Tl2(TmConfig config)
     : TransactionalMemory(config),
-      stripes_(config.lock_stripes, config.effective_stripe_regions()) {}
+      stripes_(config.lock_stripes, config.alloc.effective_shards()) {}
 
 std::unique_ptr<TmThread> Tl2::make_thread(ThreadId thread,
                                            hist::Recorder* recorder) {
@@ -42,8 +42,6 @@ Tl2Thread::Tl2Thread(Tl2& tm, ThreadId thread, hist::Recorder* recorder)
       tm_(tm),
       heap_(tm.heap()),
       token_(static_cast<rt::OwnerToken>(slot_.slot()) + 1),
-      clock_shard_(static_cast<std::size_t>(slot_.slot()) %
-                   rt::GlobalClock::kMaxSampleShards),
       reset_epoch_seen_(tm.reset_epoch_.load(std::memory_order_relaxed)),
       in_wset_(tm.config().num_registers, 0),
       in_rset_(tm.config().num_registers, 0) {}
@@ -76,13 +74,7 @@ bool Tl2Thread::tx_begin() {
     reset_epoch_seen_ = epoch;
     txn_ordinal_ = 0;
   }
-  // rver[T] := clock (line 12). Under kShardedSample the sample comes
-  // from this session's padded cell instead of the shared clock word — a
-  // stale (smaller) sample can only cause extra aborts, never admit a
-  // newer version (DESIGN.md §11).
-  rver_ = tm_.config().clock_mode == rt::ClockMode::kShardedSample
-              ? tm_.clock_.sample_sharded(clock_shard_)
-              : tm_.clock_.sample();
+  rver_ = tm_.clock_.sample();  // rver[T] := clock (line 12)
   wver_minted_ = false;
   rset_.clear();
   wset_.clear();
@@ -92,11 +84,6 @@ bool Tl2Thread::tx_begin() {
 }
 
 void Tl2Thread::abort_in_flight() {
-  if (tm_.config().clock_mode == rt::ClockMode::kShardedSample) {
-    // A stale sample cell only ever costs extra aborts — refresh it so an
-    // aborting session stops re-validating against an old stamp.
-    tm_.clock_.refresh_sharded(clock_shard_);
-  }
   rec_.response(ActionKind::kAborted);
   tm_.stats().add(static_cast<std::size_t>(slot_.slot()), Counter::kTxAbort);
   if (tm_.config().collect_timestamps) {
@@ -274,29 +261,21 @@ TxResult Tl2Thread::tx_commit() {
     return TxResult::kAborted;
   }
 
-  // Mint the write timestamp (line 40) per the configured clock mode. The
-  // GV4 share on CAS failure is sound only because we hold ALL write-set
-  // stripes here — global_clock.hpp carries the full argument.
-  const rt::ClockMode cmode = tm_.config().clock_mode;
-  if (cmode == rt::ClockMode::kFetchAdd) {
-    wver_ = tm_.clock_.advance();
-  } else {
-    bool shared = false;
-    rt::GlobalClock::Stamp seen = tm_.clock_.sample();
-    if (fault_ != nullptr &&
-        fault_->inject_cas_loss(stat_slot(), rt::FaultSite::kClockAdvance)) {
-      // Simulated rival commit inside the load→CAS window (see the fused
-      // backend): the CAS below genuinely fails and the real share path
-      // runs — the only reachable route to it on single-core boxes.
-      tm_.clock_.advance();
-    }
-    wver_ = tm_.clock_.advance_from(seen, shared);
-    if (shared) {
-      tm_.stats().add(stat_slot(), Counter::kClockStampShared);
-    }
-    if (cmode == rt::ClockMode::kShardedSample) {
-      tm_.clock_.publish_sharded(clock_shard_, wver_);
-    }
+  // Mint the write timestamp (line 40), GV4-batched. The share on CAS
+  // failure is sound only because we hold ALL write-set stripes here —
+  // global_clock.hpp carries the full argument.
+  bool shared = false;
+  const rt::GlobalClock::Stamp seen = tm_.clock_.sample();
+  if (fault_ != nullptr &&
+      fault_->inject_cas_loss(stat_slot(), rt::FaultSite::kClockAdvance)) {
+    // Simulated rival commit inside the load→CAS window (see the fused
+    // backend): the CAS below genuinely fails and the real share path
+    // runs — the only reachable route to it on single-core boxes.
+    tm_.clock_.advance();
+  }
+  wver_ = tm_.clock_.advance_from(seen, shared);
+  if (shared) {
+    tm_.stats().add(stat_slot(), Counter::kClockStampShared);
   }
   wver_minted_ = true;
 

@@ -29,9 +29,8 @@
 // backend keeps the faithful per-access shape (simple vectors plus
 // per-location membership bytes, a commit-time write-set collapse — one
 // linear pass since PR 7, not the seed's O(|wset|²) rescan — and a
-// commit stamp minted per TmConfig::clock_mode, kBatched GV4 sharing by
-// default); tm/tl2_fused.hpp is the sibling with the optimized fast path
-// (DESIGN.md §6–7, clock modes §11).
+// commit stamp minted with GV4 batched sharing); tm/tl2_fused.hpp is the
+// sibling with the optimized fast path (DESIGN.md §6–7, the clock §11).
 //
 // Non-transactional accesses are uninstrumented single atomic operations:
 // they touch neither versions nor locks. This is exactly what makes the
@@ -102,8 +101,6 @@ class Tl2Thread final : public TmThread {
   Tl2& tm_;
   TxHeap& heap_;
   rt::OwnerToken token_;
-  /// This session's clock sample cell under ClockMode::kShardedSample.
-  const std::size_t clock_shard_;
 
   // Transaction-local state (Fig 9 lines 4–7).
   std::uint64_t rver_ = 0;

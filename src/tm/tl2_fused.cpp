@@ -13,7 +13,7 @@ using rt::VersionedLock;
 
 Tl2Fused::Tl2Fused(TmConfig config)
     : TransactionalMemory(config),
-      stripes_(config.lock_stripes, config.effective_stripe_regions()) {}
+      stripes_(config.lock_stripes, config.alloc.effective_shards()) {}
 
 std::unique_ptr<TmThread> Tl2Fused::make_thread(ThreadId thread,
                                                 hist::Recorder* recorder) {
@@ -64,9 +64,6 @@ Tl2FusedThread::Tl2FusedThread(Tl2Fused& tm, ThreadId thread,
       cells_(tm.heap().cells()),
       stripe_base_(tm.stripes_.data()),
       geometry_(tm.stripes_.geometry()),
-      clock_mode_(tm.config().clock_mode),
-      clock_shard_(static_cast<std::size_t>(slot_.slot()) %
-                   rt::GlobalClock::kMaxSampleShards),
       activity_(&registry_.activity_word(slot_.slot())),
       stat_slot_(static_cast<std::size_t>(slot_.slot())),
       unsafe_skip_validation_(tm.config().unsafe_skip_validation),
@@ -101,12 +98,7 @@ bool Tl2FusedThread::tx_begin() {
     reset_epoch_seen_ = epoch;
     txn_ordinal_ = 0;
   }
-  // rver[T] := clock. Under kShardedSample the sample comes from this
-  // session's padded cell — a stale (smaller) sample only costs extra
-  // aborts, never admits a newer version (DESIGN.md §11).
-  rver_ = clock_mode_ == rt::ClockMode::kShardedSample
-              ? tm_.clock_.sample_sharded(clock_shard_)
-              : tm_.clock_.sample();
+  rver_ = tm_.clock_.sample();  // rver[T] := clock
   wver_minted_ = false;
   // O(1) read/write-set clear: a new epoch tag invalidates every per-location
   // membership slot at once. On the (once per 2^32 transactions) wrap-around
@@ -125,11 +117,6 @@ bool Tl2FusedThread::tx_begin() {
 }
 
 void Tl2FusedThread::abort_in_flight() {
-  if (clock_mode_ == rt::ClockMode::kShardedSample) {
-    // A stale sample cell only ever costs extra aborts — refresh it so an
-    // aborting session stops re-validating against an old stamp.
-    tm_.clock_.refresh_sharded(clock_shard_);
-  }
   rec_.response(ActionKind::kAborted);
   tm_.stats().add(stat_slot_, Counter::kTxAbort);
   if (collect_timestamps_) {
@@ -327,31 +314,24 @@ TxResult Tl2FusedThread::tx_commit() {
     return TxResult::kAborted;
   }
 
-  // Mint the write timestamp per the configured clock mode. The GV4 share
-  // on CAS failure is sound only because we hold ALL write-set stripes
-  // here — global_clock.hpp carries the full argument.
-  if (clock_mode_ == rt::ClockMode::kFetchAdd) {
-    wver_ = tm_.clock_.advance();
-  } else {
-    bool shared = false;
-    rt::GlobalClock::Stamp seen = tm_.clock_.sample();
-    if (fault_ != nullptr &&
-        fault_->inject_cas_loss(stat_slot_, rt::FaultSite::kClockAdvance)) {
-      // A simulated rival commits inside our load→CAS window: advancing
-      // the clock for real makes the CAS below genuinely fail, driving
-      // the true share path (not a mock). Equivalent to a concurrent
-      // disjoint-write-set committer, so the GV4 soundness argument holds
-      // unchanged — on single-core boxes this is the only way the share
-      // branch is reachable at all.
-      tm_.clock_.advance();
-    }
-    wver_ = tm_.clock_.advance_from(seen, shared);
-    if (shared) {
-      tm_.stats().add(stat_slot_, Counter::kClockStampShared);
-    }
-    if (clock_mode_ == rt::ClockMode::kShardedSample) {
-      tm_.clock_.publish_sharded(clock_shard_, wver_);
-    }
+  // Mint the write timestamp, GV4-batched. The share on CAS failure is
+  // sound only because we hold ALL write-set stripes here —
+  // global_clock.hpp carries the full argument.
+  bool shared = false;
+  const rt::GlobalClock::Stamp seen = tm_.clock_.sample();
+  if (fault_ != nullptr &&
+      fault_->inject_cas_loss(stat_slot_, rt::FaultSite::kClockAdvance)) {
+    // A simulated rival commits inside our load→CAS window: advancing
+    // the clock for real makes the CAS below genuinely fail, driving
+    // the true share path (not a mock). Equivalent to a concurrent
+    // disjoint-write-set committer, so the GV4 soundness argument holds
+    // unchanged — on single-core boxes this is the only way the share
+    // branch is reachable at all.
+    tm_.clock_.advance();
+  }
+  wver_ = tm_.clock_.advance_from(seen, shared);
+  if (shared) {
+    tm_.stats().add(stat_slot_, Counter::kClockStampShared);
   }
   wver_minted_ = true;
 

@@ -24,11 +24,10 @@
 //    write-back applies in insertion order, so the last value per
 //    location still wins), removing the faithful backend's O(|wset|²)
 //    commit-time collapse pass;
-//  * commit stamps follow `TmConfig::clock_mode` (default kBatched — GV4:
-//    one CAS, adopt the concurrent committer's stamp on failure, counted
-//    as rt::Counter::kClockStampShared; kShardedSample additionally
-//    samples/publishes through padded per-session cells) and read-only
-//    commits skip the clock entirely;
+//  * commit stamps are GV4-batched (one CAS, adopt the concurrent
+//    committer's stamp on failure, counted as
+//    rt::Counter::kClockStampShared) and read-only commits skip the clock
+//    entirely;
 //  * TxnStamp collection goes to per-thread buffers merged on
 //    timestamp_log(), not a globally locked vector.
 //
@@ -87,9 +86,6 @@ class Tl2FusedThread final : public TmThread {
   /// Cached StripeTable geometry (region-partitioned since PR 7): stripe
   /// of r is geometry_.index(r).
   const rt::StripeTable::Geometry geometry_;
-  const rt::ClockMode clock_mode_;
-  /// This session's clock sample cell under ClockMode::kShardedSample.
-  const std::size_t clock_shard_;
   std::atomic<std::uint64_t>* const activity_;  ///< our registry slot's word
   const std::size_t stat_slot_;
   const bool unsafe_skip_validation_;

@@ -64,20 +64,10 @@ struct TmConfig {
   /// validate against (rounded up to a power of two). More stripes = fewer
   /// false conflicts; the table is fixed-size however large the heap grows.
   std::size_t lock_stripes = 1024;
-  /// Region partitioning of the stripe table (StripeTable file comment /
-  /// DESIGN.md §11): blocks served by different allocator shards validate
-  /// and lock disjoint stripe ranges. 0 = match the allocator's effective
-  /// shard count (the useful default); 1 = unpartitioned (bit-for-bit the
-  /// PR 4 mapping); otherwise rounded to a power of two by the table.
-  std::size_t stripe_regions = 0;
-  /// How TL2-family backends mint commit stamps (runtime/global_clock.hpp).
-  /// kBatched (GV4 stamp sharing) is single-threaded behavior-identical to
-  /// kFetchAdd, so it is safe for the deterministic model-checked
-  /// configurations; kShardedSample additionally moves transaction-begin
-  /// reads onto padded per-shard cells and is opt-in (stale cells trade
-  /// extra validation aborts for zero begin-time clock bouncing).
-  rt::ClockMode clock_mode = rt::ClockMode::kBatched;
   FencePolicy fence_policy = FencePolicy::kSelective;
+  /// Registry scan a synchronous fence() runs (runtime/thread_registry.hpp):
+  /// kEpochCounter, or kPaperBoolean for the literal Fig 7 reference. Async
+  /// fences and limbo tickets always use the grace-period engine.
   rt::FenceMode fence_mode = rt::FenceMode::kEpochCounter;
   /// Busy-wait spins injected between commit-time validation and write-back
   /// (TL2 only). Zero in production; litmus harnesses widen the
@@ -116,19 +106,14 @@ struct TmConfig {
   static constexpr std::size_t kMinAutoStripes = 64;
   static constexpr std::size_t kMaxAutoStripes = std::size_t{1} << 20;
 
-  /// Region count the stripe table will actually be built with: the knob,
-  /// or (knob 0) the allocator's effective shard count.
-  std::size_t effective_stripe_regions() const noexcept {
-    return stripe_regions != 0 ? stripe_regions : alloc.effective_shards();
-  }
-
   /// Size `lock_stripes` from the expected peak number of live heap cells
   /// (static prefix + allocated blocks). Targets ~2 stripes per cell —
   /// under the Fibonacci mixing hash that keeps the expected number of
   /// colliding live cells per stripe below 1/2, so the false-conflict
   /// rate stays in the low percent under full contention (regression:
   /// tests/stripe_sweep_test.cpp). Region-aware: the budget is divided
-  /// across effective_stripe_regions() equal power-of-two regions
+  /// across the stripe table's regions (one per effective allocator
+  /// shard, DESIGN.md §11) in equal power-of-two parts
   /// (ceil-divided, so a partitioned table never ends up smaller than the
   /// unpartitioned answer), with the same overall clamp
   /// [kMinAutoStripes, kMaxAutoStripes] (a 2^20 table is 64 MiB of
@@ -138,7 +123,7 @@ struct TmConfig {
   /// pinned values in stripe_sweep_test hold for every partitioning.
   /// Returns the chosen total count.
   std::size_t auto_size_stripes(std::size_t expected_cells) noexcept {
-    const std::size_t regions = effective_stripe_regions();
+    const std::size_t regions = alloc.effective_shards();
     const std::size_t min_per =
         std::max<std::size_t>(2, kMinAutoStripes / regions);
     const std::size_t max_per =

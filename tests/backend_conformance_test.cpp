@@ -4,10 +4,9 @@
 // strong-atomicity violations, and the recorded histories must be
 // race-free and strongly opaque under the existing checker pipeline.
 //
-// The gate runs each scenario under every quiescence engine a fence can
-// take (DESIGN.md §5): the per-fence-scan default (kEpochCounter), the
-// coalesced shared-grace-period mode (kGracePeriodEpoch), and the
-// asynchronous ticket path (issue + await, recorded on the shadow fence
+// The gate runs each scenario under both quiescence engines a fence can
+// take (DESIGN.md §5): the per-fence-scan default (kEpochCounter) and the
+// grace-period ticket path (issue + await, recorded on the shadow fence
 // stream). This is what a new backend (e.g. tl2fused) — or a new fence
 // engine — has to pass: it proves the privatization-safety protocol
 // survived whatever fast-path representation was chosen.
@@ -28,17 +27,14 @@ using tm::FencePolicy;
 using tm::TmKind;
 
 enum class FenceVariant {
-  kSyncEpoch,        ///< synchronous fences, per-fence scan (the default)
-  kSyncGracePeriod,  ///< synchronous fences, coalesced grace periods
-  kAsync,            ///< asynchronous fences (tickets) over grace periods
+  kSyncEpoch,  ///< synchronous fences, per-fence scan (the default)
+  kAsync,      ///< asynchronous fences (tickets) over grace periods
 };
 
 const char* fence_variant_name(FenceVariant v) {
   switch (v) {
     case FenceVariant::kSyncEpoch:
       return "sync_epoch";
-    case FenceVariant::kSyncGracePeriod:
-      return "sync_gp";
     case FenceVariant::kAsync:
       return "async";
   }
@@ -54,15 +50,12 @@ TEST_P(BackendConformance, FencedFig1ScenariosAreSafe) {
   const lang::LitmusSpec spec =
       doomed ? lang::make_fig1b(true) : lang::make_fig1a(true);
 
-  // The default variant keeps the original (largest) run counts; the two
-  // new engines re-run the same scenarios slightly lighter to bound the
-  // gate's wall-clock on the CI box.
+  // The default variant keeps the original (largest) run counts; the async
+  // engine re-runs the same scenarios slightly lighter to bound the gate's
+  // wall-clock on the CI box.
   const bool default_variant = variant == FenceVariant::kSyncEpoch;
 
   lang::LitmusRunOptions options;
-  if (variant != FenceVariant::kSyncEpoch) {
-    options.fence_mode = rt::FenceMode::kGracePeriodEpoch;
-  }
   options.async_fences = variant == FenceVariant::kAsync;
 
   // Pass 1: many runs with a widened commit window, counting postcondition
@@ -108,7 +101,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(tm::all_tm_kinds()),
                        ::testing::Bool(),
                        ::testing::Values(FenceVariant::kSyncEpoch,
-                                         FenceVariant::kSyncGracePeriod,
                                          FenceVariant::kAsync)),
     [](const auto& info) {
       return std::string(tm::tm_kind_name(std::get<0>(info.param))) +

@@ -154,17 +154,14 @@ TEST(FaultInjector, AllocatorRefillSiteFires) {
 // ---------------------------------------------------------------------------
 
 enum class FenceVariant {
-  kSyncEpoch,        ///< synchronous fences, per-fence scan (the default)
-  kSyncGracePeriod,  ///< synchronous fences, coalesced grace periods
-  kAsync,            ///< asynchronous fences (tickets) over grace periods
+  kSyncEpoch,  ///< synchronous fences, per-fence scan (the default)
+  kAsync,      ///< asynchronous fences (tickets) over grace periods
 };
 
 const char* fence_variant_name(FenceVariant v) {
   switch (v) {
     case FenceVariant::kSyncEpoch:
       return "sync_epoch";
-    case FenceVariant::kSyncGracePeriod:
-      return "sync_gp";
     case FenceVariant::kAsync:
       return "async";
   }
@@ -181,9 +178,6 @@ TEST_P(FaultConformance, InjectedFig1HistoriesStayOpaqueAndDrf) {
       doomed ? lang::make_fig1b(true) : lang::make_fig1a(true);
 
   lang::LitmusRunOptions options;
-  if (variant != FenceVariant::kSyncEpoch) {
-    options.fence_mode = rt::FenceMode::kGracePeriodEpoch;
-  }
   options.async_fences = variant == FenceVariant::kAsync;
   options.fault = matrix_plan();
   options.jitter_max_spins = 200;
@@ -225,7 +219,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(tm::all_tm_kinds()),
                        ::testing::Bool(),
                        ::testing::Values(FenceVariant::kSyncEpoch,
-                                         FenceVariant::kSyncGracePeriod,
                                          FenceVariant::kAsync)),
     [](const auto& info) {
       return std::string(tm::tm_kind_name(std::get<0>(info.param))) +

@@ -1,8 +1,9 @@
 // Unit tests for the quiescence subsystem (rt::QuiescenceManager,
-// DESIGN.md §5): coalesced grace periods under concurrent fences, the
-// asynchronous ticket engine and its completion ordering, starvation
-// freedom under back-to-back transactions, and the end-to-end deferred
-// privatization idiom on a real backend with recorded histories.
+// DESIGN.md §5): the grace-period ticket engine — coalesced scans under
+// concurrent waiters, the join rule for tickets issued mid-scan,
+// completion ordering, starvation freedom under back-to-back
+// transactions — and the end-to-end deferred privatization idiom on a
+// real backend with recorded histories.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,7 +29,13 @@ using rt::StatsDomain;
 struct ManagerFixture {
   StatsDomain stats;
   QuiescenceManager qm{stats, FencePolicy::kSelective,
-                       FenceMode::kGracePeriodEpoch};
+                       FenceMode::kEpochCounter};
+
+  /// A blocking fence on the grace-period engine: issue a ticket, wait.
+  void ticket_fence(int slot) {
+    const auto stat_slot = static_cast<std::size_t>(slot);
+    qm.fence_wait(qm.fence_async(stat_slot), stat_slot);
+  }
 };
 
 TEST(Quiescence, GracePeriodFenceWaitsForActiveTransaction) {
@@ -39,7 +46,7 @@ TEST(Quiescence, GracePeriodFenceWaitsForActiveTransaction) {
 
   std::atomic<bool> fence_done{false};
   std::thread fence_thread([&] {
-    f.qm.fence(static_cast<std::size_t>(fencer));
+    f.ticket_fence(fencer);
     fence_done.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -105,11 +112,11 @@ TEST(Quiescence, CoalescedCompletionIsDeterministicallyObservable) {
   const int b = f.qm.registry().register_thread();
 
   const FenceTicket ticket = f.qm.fence_async(static_cast<std::size_t>(a));
-  f.qm.fence(static_cast<std::size_t>(b));  // performs the scan itself
+  f.ticket_fence(b);  // performs the scan itself
   EXPECT_TRUE(
       f.qm.fence_try_complete(ticket, static_cast<std::size_t>(a)));
 
-  EXPECT_EQ(f.stats.total(Counter::kFenceAsyncIssued), 1u);
+  EXPECT_EQ(f.stats.total(Counter::kFenceAsyncIssued), 2u);
   EXPECT_EQ(f.stats.total(Counter::kFence), 2u);
   EXPECT_EQ(f.stats.total(Counter::kFenceCoalesced), 1u);
   f.qm.registry().unregister_thread(a);
@@ -139,6 +146,81 @@ TEST(Quiescence, AsyncTicketBlocksOnActiveTransactionUntilItEnds) {
   EXPECT_EQ(f.stats.total(Counter::kFence), 1u);
   f.qm.registry().unregister_thread(worker);
   f.qm.registry().unregister_thread(fencer);
+}
+
+// The join rule of grace_period_target(), driven deterministically from one
+// thread: try_elapse_ticket starts a scan that observes `worker` active and
+// leaves it in flight (seq odd), so the next issue_ticket() sees s0 odd.
+
+TEST(Quiescence, TicketJoinsInFlightScanWhileObservedWordIsUnchanged) {
+  ManagerFixture f;
+  const int worker = f.qm.registry().register_thread();
+  f.qm.registry().tx_enter(worker);
+  const FenceTicket first = f.qm.issue_ticket();
+  EXPECT_FALSE(f.qm.try_elapse_ticket(first));  // starts the scan
+  const std::uint64_t s0 = f.qm.grace_period_seq();
+  ASSERT_EQ(s0 % 2, 1u) << "a scan must be in flight";
+
+  // The only active slot is still in the scan's waiting set with the word
+  // the snapshot saw: the ticket joins that scan.
+  const FenceTicket joined = f.qm.issue_ticket();
+  EXPECT_EQ(joined, s0 + 1);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_FALSE(f.qm.try_elapse_ticket(joined));
+  }
+  EXPECT_FALSE(f.qm.ticket_elapsed(joined));
+
+  f.qm.registry().tx_exit(worker);
+  EXPECT_TRUE(f.qm.try_elapse_ticket(joined));
+  EXPECT_EQ(f.qm.grace_period_seq(), s0 + 1) << "no second scan ran";
+  f.qm.registry().unregister_thread(worker);
+}
+
+/// Issues a ticket after `late` entered a transaction the in-flight scan's
+/// snapshot did not see (late == worker: the observed slot finished and
+/// started a new one), and checks it waits for the scan after that one.
+void expect_ticket_waits_for_next_scan(ManagerFixture& f, int worker,
+                                       int late) {
+  const bool late_is_worker = late == worker;
+  const std::uint64_t s0 = f.qm.grace_period_seq();
+  ASSERT_EQ(s0 % 2, 1u) << "a scan must be in flight";
+  if (late_is_worker) f.qm.registry().tx_exit(worker);
+  f.qm.registry().tx_enter(late);
+  const FenceTicket ticket = f.qm.issue_ticket();
+  EXPECT_EQ(ticket, s0 + 3);
+
+  if (!late_is_worker) f.qm.registry().tx_exit(worker);
+  // The in-flight scan can now finish, and the next one starts — but it
+  // observes `late` active, so the ticket stays pending.
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_FALSE(f.qm.try_elapse_ticket(ticket));
+  }
+  EXPECT_EQ(f.qm.grace_period_seq(), s0 + 2) << "next scan in flight";
+  EXPECT_FALSE(f.qm.ticket_elapsed(ticket));
+
+  f.qm.registry().tx_exit(late);
+  EXPECT_TRUE(f.qm.try_elapse_ticket(ticket));
+  EXPECT_EQ(f.qm.grace_period_seq(), ticket);
+}
+
+TEST(Quiescence, TicketSkipsInFlightScanWhenAnotherSlotEnteredAfterSnapshot) {
+  ManagerFixture f;
+  const int worker = f.qm.registry().register_thread();
+  const int late = f.qm.registry().register_thread();
+  f.qm.registry().tx_enter(worker);
+  EXPECT_FALSE(f.qm.try_elapse_ticket(f.qm.issue_ticket()));
+  expect_ticket_waits_for_next_scan(f, worker, late);
+  f.qm.registry().unregister_thread(worker);
+  f.qm.registry().unregister_thread(late);
+}
+
+TEST(Quiescence, TicketSkipsInFlightScanWhenObservedSlotStartedNewTransaction) {
+  ManagerFixture f;
+  const int worker = f.qm.registry().register_thread();
+  f.qm.registry().tx_enter(worker);
+  EXPECT_FALSE(f.qm.try_elapse_ticket(f.qm.issue_ticket()));
+  expect_ticket_waits_for_next_scan(f, worker, worker);
+  f.qm.registry().unregister_thread(worker);
 }
 
 TEST(Quiescence, TicketCompletionRespectsIssueOrder) {
@@ -178,9 +260,7 @@ TEST(Quiescence, StarvationFreeUnderBackToBackTransactions) {
       f.qm.registry().tx_exit(worker);
     }
   });
-  for (int i = 0; i < 25; ++i) {
-    f.qm.fence(static_cast<std::size_t>(fencer));
-  }
+  for (int i = 0; i < 25; ++i) f.ticket_fence(fencer);
   stop.store(true);
   churn.join();
   EXPECT_EQ(f.stats.total(Counter::kFence), 25u);
@@ -197,7 +277,6 @@ TEST(Quiescence, DeferredPrivatizationHistoryIsWellFormed) {
   // 5 (per-thread request/response alternation).
   tm::TmConfig config;
   config.num_registers = 8;
-  config.fence_mode = FenceMode::kGracePeriodEpoch;
   tm::Tl2 tmi(config);
   hist::Recorder recorder;
 

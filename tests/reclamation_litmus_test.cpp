@@ -241,8 +241,7 @@ TEST_P(ReclamationLitmus, UnfencedRunsAreFlaggedRacyOnTheFreedBlock) {
 
 TEST_P(ReclamationLitmus, FencedRunsAreCleanAcrossFenceModes) {
   for (const rt::FenceMode mode :
-       {rt::FenceMode::kEpochCounter, rt::FenceMode::kPaperBoolean,
-        rt::FenceMode::kGracePeriodEpoch}) {
+       {rt::FenceMode::kEpochCounter, rt::FenceMode::kPaperBoolean}) {
     for (const LitmusSpec& spec : reclamation_litmus(true, kRealSpin)) {
       SCOPED_TRACE(spec.name + "/" + rt::fence_mode_name(mode));
       constexpr std::size_t kRuns = 4;

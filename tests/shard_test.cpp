@@ -1,6 +1,6 @@
 // The PR 7 sharding layer (DESIGN.md §11): the per-shard allocator free
 // store (home-bin refill, sibling stealing, bounded incremental
-// compaction), the GV4-batched / sharded-sample commit clock, and the
+// compaction), the GV4-batched commit clock, and the
 // region-partitioned stripe table. alloc_test.cpp covers the magazine and
 // limbo machinery; this file pins what PR 7 added around it.
 #include <gtest/gtest.h>
@@ -238,93 +238,8 @@ TEST(ClockGv4, BatchedIsIdenticalToFetchAddWithoutContention) {
   EXPECT_EQ(fetch_add.sample(), batched.sample());
 }
 
-TEST(ClockSharded, SampleCellsTrailUntilPublishedOrRefreshed) {
-  rt::GlobalClock clock;
-  clock.advance();
-  clock.advance();
-  // Cells only move when a committer publishes or an aborter refreshes.
-  EXPECT_EQ(clock.sample_sharded(0), 0u);
-  clock.publish_sharded(0, 2);
-  EXPECT_EQ(clock.sample_sharded(0), 2u);
-  EXPECT_EQ(clock.sample_sharded(1), 0u) << "cells are independent";
-  clock.refresh_sharded(1);
-  EXPECT_EQ(clock.sample_sharded(1), 2u);
-  clock.reset();
-  EXPECT_EQ(clock.sample(), 0u);
-  EXPECT_EQ(clock.sample_sharded(0), 0u);
-  EXPECT_EQ(clock.sample_sharded(1), 0u);
-}
-
-TEST(ClockSharded, StaleSampleAbortsOnceThenRefreshRecovers) {
-  // Backend-level determinism of kShardedSample: a session whose sample
-  // cell trails the clock aborts (spuriously but safely) on its first
-  // read of a fresher version; the abort refreshes its cell and the retry
-  // succeeds. Exercises tx-begin sampling, commit publishing and the
-  // abort-path refresh on both TL2 backends.
-  for (TmKind kind : {TmKind::kTl2, TmKind::kTl2Fused}) {
-    tm::TmConfig config;
-    config.clock_mode = rt::ClockMode::kShardedSample;
-    auto tmi = tm::make_tm(kind, config);
-    auto writer = tmi->make_thread(0, nullptr);   // sample cell 0
-    auto reader = tmi->make_thread(1, nullptr);   // sample cell 1
-
-    ASSERT_TRUE(writer->tx_begin());
-    ASSERT_TRUE(writer->tx_write(0, 7));
-    ASSERT_EQ(writer->tx_commit(), tm::TxResult::kCommitted);
-
-    // The reader's cell still holds 0, so rver = 0 < the write's stamp.
-    ASSERT_TRUE(reader->tx_begin());
-    tm::Value v = 0;
-    EXPECT_FALSE(reader->tx_read(0, v))
-        << tm::tm_kind_name(kind) << ": stale rver must abort the read";
-    // The abort refreshed the cell; the retry validates and commits.
-    ASSERT_TRUE(reader->tx_begin());
-    ASSERT_TRUE(reader->tx_read(0, v));
-    EXPECT_EQ(v, 7) << tm::tm_kind_name(kind);
-    EXPECT_EQ(reader->tx_commit(), tm::TxResult::kCommitted);
-  }
-}
-
-TEST(ClockSharded, ConcurrentCountersStayExactUnderSampledBegins) {
-  // Safety under real concurrency: stale rvers may add aborts but never
-  // admit a torn or stale read — per-thread counters over shared cells
-  // must end exact.
-  constexpr int kThreads = 4;
-  constexpr int kIncrements = 2000;
-  tm::TmConfig config;
-  config.clock_mode = rt::ClockMode::kShardedSample;
-  auto tmi = make_tm_with(config);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      auto session = tmi->make_thread(static_cast<hist::ThreadId>(t),
-                                      nullptr);
-      for (int i = 0; i < kIncrements; ++i) {
-        tm::run_tx_retry(*session, [](tm::TxScope& tx) {
-          tx.write(0, tx.read(0) + 1);
-          tx.write(1, tx.read(1) + 1);
-        });
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  auto session = tmi->make_thread(kThreads, nullptr);
-  tm::Value a = 0;
-  tm::Value b = 0;
-  // Retry the verification read: a fresh session's shard sample may trail
-  // the storm's last commits, and a stale sample aborts spuriously by
-  // design (smaller rver, never a stale admit) — one-sidedness is what
-  // the assertions below actually pin.
-  tm::run_tx_retry(*session, [&](tm::TxScope& tx) {
-    a = tx.read(0);
-    b = tx.read(1);
-  });
-  EXPECT_EQ(a, kThreads * kIncrements);
-  EXPECT_EQ(b, kThreads * kIncrements);
-}
-
 TEST(ClockContention, SharedStampCounterFiresWhenRivalWinsTheCasWindow) {
-  // Under kBatched a committer that loses the clock CAS adopts the
+  // A committer that loses the GV4 clock CAS adopts the
   // winner's stamp and Counter::kClockStampShared ticks. Two commits
   // never overlap inside the load→CAS window on a single-core box, so
   // the contended branch is staged deterministically instead: the
@@ -333,7 +248,7 @@ TEST(ClockContention, SharedStampCounterFiresWhenRivalWinsTheCasWindow) {
   // committer does), and the genuine share path — counter included —
   // runs on every writer commit.
   for (TmKind kind : {TmKind::kTl2, TmKind::kTl2Fused}) {
-    tm::TmConfig config;  // clock_mode defaults to kBatched
+    tm::TmConfig config;
     config.fault.cas_loss_permille = 1000;
     config.fault.sites = rt::fault_site_bit(rt::FaultSite::kClockAdvance);
     auto tmi = tm::make_tm(kind, config);
@@ -400,12 +315,24 @@ TEST(StripeRegion, CachedGeometryMatchesIndexOf) {
 }
 
 TEST(StripeRegion, EffectiveRegionsDefaultToAllocShards) {
-  tm::TmConfig config;
-  config.alloc.shards = 8;
-  EXPECT_EQ(config.effective_stripe_regions(), 8u);
-  config.stripe_regions = 2;
-  EXPECT_EQ(config.effective_stripe_regions(), 2u)
-      << "an explicit region count must win over the shard default";
+  // Both TL2 backends partition their stripe table into one region per
+  // effective allocator shard (shards = 3 rounds down to 2).
+  for (TmKind kind : {TmKind::kTl2, TmKind::kTl2Fused}) {
+    for (std::size_t shards : {std::size_t{1}, std::size_t{3},
+                               std::size_t{8}}) {
+      tm::TmConfig config;
+      config.alloc.shards = shards;
+      const rt::StripeTable expected(config.lock_stripes,
+                                     config.alloc.effective_shards());
+      auto tmi = tm::make_tm(kind, config);
+      for (hist::RegId reg = 0; reg < 50000; reg += 7) {
+        ASSERT_EQ(tmi->stripe_of(reg), expected.index_of(
+                                           static_cast<std::uint64_t>(reg)))
+            << tm::tm_kind_name(kind) << " shards=" << shards
+            << " reg=" << reg;
+      }
+    }
+  }
 }
 
 }  // namespace

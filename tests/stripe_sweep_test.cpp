@@ -125,8 +125,6 @@ TEST_P(StripeSweep, AutoSizedShardedTableKeepsFalseConflictsLow) {
   tm::TmConfig config;
   config.num_registers = 1;
   config.alloc.shards = 8;
-  config.stripe_regions = 8;
-  ASSERT_EQ(config.effective_stripe_regions(), 8u);
   const std::size_t expected_cells =
       2 * 4 * (5 + 17 + 33 + 65 + 9 + 3 + 129 + 49);
   const std::size_t chosen = config.auto_size_stripes(expected_cells);
@@ -174,8 +172,8 @@ TEST(StripeAutoSize, RegionPartitioningPreservesTotalsAndClamp) {
   // so the TOTAL auto size is the same whatever the partitioning — the
   // sizing rule and the region count stay independent knobs.
   tm::TmConfig config;
-  config.alloc.shards = 8;  // effective_stripe_regions() == 8
-  ASSERT_EQ(config.effective_stripe_regions(), 8u);
+  config.alloc.shards = 8;  // eight stripe regions
+  ASSERT_EQ(config.alloc.effective_shards(), 8u);
   EXPECT_EQ(config.auto_size_stripes(100), 256u);
   EXPECT_EQ(config.auto_size_stripes(1024), 2048u);
   // The global clamp applies to the total, not per region.
@@ -183,7 +181,6 @@ TEST(StripeAutoSize, RegionPartitioningPreservesTotalsAndClamp) {
             tm::TmConfig::kMaxAutoStripes);
   // And the floor survives a degenerate single-region table.
   config.alloc.shards = 1;
-  config.stripe_regions = 1;
   EXPECT_EQ(config.auto_size_stripes(0), tm::TmConfig::kMinAutoStripes);
 }
 
