@@ -75,6 +75,11 @@ bool ThreadRegistry::is_active(int slot) const noexcept {
 }
 
 void ThreadRegistry::quiesce(FenceMode mode) const noexcept {
+  // Order the scan after everything the fencing thread did before, NT
+  // stores included (they are release stores, which a later load may pass):
+  // a transaction that begins after this fence starts must see them. The
+  // async path's grace_period_target() opens with the same fence.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   // Only the claimed-slot prefix can host transactions; never-claimed
   // slots need no scan.
   const std::size_t nslots = high_water();

@@ -59,7 +59,8 @@ SessionStore::PutStatus SessionStore::put(tm::TmThread& session,
   // Pre-publication NT fill: the block is unreachable until the publish
   // transaction commits, and that commit orders these writes before any
   // transactional reader that finds the index entry (the publication
-  // idiom, Fig 2).
+  // idiom, Fig 2). The writes are sequenced before the commit's release
+  // stores, so each is a plain release store — no full barrier per cell.
   session.nt_write(record.loc(0), key);
   session.nt_write(record.loc(1), static_cast<tm::Value>(expiry));
   session.nt_write(record.loc(2), tag);

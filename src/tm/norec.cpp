@@ -208,21 +208,4 @@ TxResult NOrecThread::tx_commit() {
   return TxResult::kCommitted;
 }
 
-Value NOrecThread::nt_read(RegId reg) {
-  tm_.stats().add(static_cast<std::size_t>(slot_.slot()), Counter::kNtRead);
-  auto& cell = cells_[static_cast<std::size_t>(reg)];
-  return rec_.nt_access(/*is_write=*/false, reg, 0, [&] {
-    return cell.load(std::memory_order_seq_cst);
-  });
-}
-
-void NOrecThread::nt_write(RegId reg, Value value) {
-  tm_.stats().add(static_cast<std::size_t>(slot_.slot()), Counter::kNtWrite);
-  auto& cell = cells_[static_cast<std::size_t>(reg)];
-  rec_.nt_access(/*is_write=*/true, reg, value, [&] {
-    cell.store(value, std::memory_order_seq_cst);
-    return value;
-  });
-}
-
 }  // namespace privstm::tm

@@ -357,22 +357,4 @@ TxResult Tl2Thread::tx_commit() {
   return TxResult::kCommitted;
 }
 
-Value Tl2Thread::nt_read(RegId reg) {
-  tm_.stats().add(static_cast<std::size_t>(slot_.slot()), Counter::kNtRead);
-  auto& cell = heap_.cell(reg);
-  return rec_.nt_access(/*is_write=*/false, reg, 0, [&] {
-    return cell.load(std::memory_order_seq_cst);
-  });
-}
-
-void Tl2Thread::nt_write(RegId reg, Value value) {
-  tm_.stats().add(static_cast<std::size_t>(slot_.slot()), Counter::kNtWrite);
-  auto& cell = heap_.cell(reg);
-  rec_.nt_access(/*is_write=*/true, reg, value, [&] {
-    // Uninstrumented: no version bump, no lock — deliberately.
-    cell.store(value, std::memory_order_seq_cst);
-    return value;
-  });
-}
-
 }  // namespace privstm::tm

@@ -402,22 +402,4 @@ TxResult Tl2FusedThread::tx_commit() {
   return TxResult::kCommitted;
 }
 
-Value Tl2FusedThread::nt_read(RegId reg) {
-  tm_.stats().add(stat_slot_, Counter::kNtRead);
-  auto& cell = cells_[static_cast<std::size_t>(reg)];
-  return rec_.nt_access(/*is_write=*/false, reg, 0, [&] {
-    return cell.load(std::memory_order_seq_cst);
-  });
-}
-
-void Tl2FusedThread::nt_write(RegId reg, Value value) {
-  tm_.stats().add(stat_slot_, Counter::kNtWrite);
-  auto& cell = cells_[static_cast<std::size_t>(reg)];
-  rec_.nt_access(/*is_write=*/true, reg, value, [&] {
-    // Uninstrumented: no version bump, no lock — deliberately.
-    cell.store(value, std::memory_order_seq_cst);
-    return value;
-  });
-}
-
 }  // namespace privstm::tm

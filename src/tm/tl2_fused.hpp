@@ -61,8 +61,6 @@ class Tl2FusedThread final : public TmThread {
   bool tx_write(RegId reg, Value value) override;
   TxResult tx_commit() override;
   void tx_abort() override;
-  Value nt_read(RegId reg) override;
-  void nt_write(RegId reg, Value value) override;
   // fence()/fence_async()/... come from the TmThread base: all fencing is
   // routed through the shared quiescence subsystem (DESIGN.md §5).
 

@@ -14,6 +14,15 @@
 // TmThread base. Backends only mark transaction activity (tx_enter/tx_exit
 // on their registry slot) and call auto_fence() at commit/abort ends.
 //
+// NT accesses are not a backend concern either: TmThread implements
+// nt_read/nt_write once, as an acquire load / release store of the shared
+// heap cell, never seq_cst. The TM boundaries supply every edge the
+// paper's theorem needs: commits publish with release stores, fences scan
+// activity words with acquire, the recorder's nt_lock_ orders recorded NT
+// accesses, and on x86 each boundary that can follow an NT store (the
+// activity-word RMW, the seq_cst fence opening every fence) is a full
+// barrier (DESIGN.md §2).
+//
 // All implementations optionally log their interface actions to a
 // hist::Recorder so executions can be checked for DRF and strong opacity.
 #pragma once
@@ -337,9 +346,24 @@ class TmThread {
   /// nothing a privatizer could race with through this thread.
   virtual void tx_abort() = 0;
 
-  /// Uninstrumented non-transactional accesses (must be outside txns).
-  virtual Value nt_read(RegId reg) = 0;
-  virtual void nt_write(RegId reg, Value value) = 0;
+  /// Uninstrumented non-transactional accesses (must be outside txns);
+  /// ordering as in the header comment.
+  Value nt_read(RegId reg) {
+    stats_.add(stat_slot(), rt::Counter::kNtRead);
+    auto& cell = heap_.cell(reg);
+    return rec_.nt_access(/*is_write=*/false, reg, 0, [&] {
+      return cell.load(std::memory_order_acquire);
+    });
+  }
+  void nt_write(RegId reg, Value value) {
+    stats_.add(stat_slot(), rt::Counter::kNtWrite);
+    auto& cell = heap_.cell(reg);
+    rec_.nt_access(/*is_write=*/true, reg, value, [&] {
+      // Uninstrumented: no version bump, no lock — deliberately.
+      cell.store(value, std::memory_order_release);
+      return value;
+    });
+  }
 
   /// Transactional fence (must be outside txns). Under FencePolicy::kNone
   /// this is a no-op — deliberately so, to run the paper's examples in

@@ -261,7 +261,7 @@ INSTANTIATE_TEST_SUITE_P(AllTms, AdaptiveGovernorAllTms,
 TEST(AdaptiveService, StormShiftEndToEndKeepsConsistency) {
   // A bounded injected abort storm (budget per slot) over a governed
   // session store: the storm phase must adopt at least one policy shift,
-  // the budget drains before the steady phase, and no phase may report a
+  // the storm ends before the steady phase, and no phase may report a
   // consistency violation — the feedback loop never trades correctness.
   TmConfig config;
   config.num_registers = 64;
@@ -304,8 +304,19 @@ TEST(AdaptiveService, StormShiftEndToEndKeepsConsistency) {
   std::atomic<std::uint64_t> clock{1};
   const auto storm_result =
       service::run_phase(*tmi, store, cfg, storm, /*seed=*/99, clock);
+  // End the storm. The budget alone does not: each worker slot stops a
+  // little short of it within the storm phase, so the steady phase would
+  // start with faults armed, and which slot each new thread claims decides
+  // how many. The storm's threads have joined, so no slot owner runs
+  // concurrently with these suspends.
+  for (std::size_t s = 0; s < rt::StatsDomain::kMaxThreads; ++s) {
+    tmi->fault().suspend(s);
+  }
+  const std::uint64_t storm_faults = tmi->fault().injected_total();
   const auto steady_result =
       service::run_phase(*tmi, store, cfg, steady, /*seed=*/100, clock);
+  EXPECT_EQ(tmi->fault().injected_total(), storm_faults)
+      << "the steady phase must run fault-free";
 
   EXPECT_EQ(storm_result.consistency_violations, 0u);
   EXPECT_EQ(steady_result.consistency_violations, 0u);
@@ -314,7 +325,7 @@ TEST(AdaptiveService, StormShiftEndToEndKeepsConsistency) {
       << "the injected storm must drive at least one adopted shift";
   EXPECT_GE(governor.epochs(),
             storm_result.governor_epochs + steady_result.governor_epochs);
-  // The phase results surface the live policy; after the budget drained
+  // The phase results surface the live policy; after the storm ended
   // and the steady phase's clean epochs elapsed, the governor must have
   // demoted back off the storm tier (the storm is not sticky).
   EXPECT_EQ(steady_result.governor_policy, CmPolicy::kImmediate);

@@ -47,7 +47,9 @@ TEST(AllocSizeClass, TableIsMonotonicWithBoundedOverhead) {
     // is always < 1.5× the request (for n > 1).
     ASSERT_LT(s, n + (n + 1) / 2 + 1) << "class too big for " << n;
     // And it is the SMALLEST sufficient class.
-    if (c > 0) ASSERT_LT(ta::class_size(c - 1), n);
+    if (c > 0) {
+      ASSERT_LT(ta::class_size(c - 1), n);
+    }
   }
   EXPECT_EQ(ta::class_of(ta::kMaxClassSize + 1), ta::kHugeClass);
   EXPECT_EQ(ta::storage_size(ta::kMaxClassSize + 9), ta::kMaxClassSize + 9);
