@@ -1,10 +1,5 @@
-// Experiment E6 — the cost of conservative fencing (Yoo et al. [42]) —
-// and E14 — coalesced multi-privatizer fence throughput.
-//
-// E6 reproduces the *shape* of Yoo et al.'s measurement (fencing every
-// transaction costs 32 % on average, up to 107 %): the same transactional
-// mix under FencePolicy::{kNone, kAlways, kSkipAfterReadOnly}, reported as
-// google-benchmark cases with an `overhead_vs_none`-style counter set.
+// Coalesced multi-privatizer fence throughput (experiment E14), persisted
+// as BENCH_fence_overhead.json.
 //
 // E14 is the headline experiment of the quiescence subsystem (DESIGN.md
 // §5): against background transaction churn, N privatizer threads run
@@ -27,11 +22,11 @@
 // count plus the async/scan ratio at the top thread count) so the perf
 // trajectory is comparable across PRs.
 //
-// This binary has its own main(): it always runs the E14 sweep (and with
-// `--quick` only that, against smaller sizes, writing the .quick.json
-// variant — the CI smoke configuration). `--check` exits nonzero if the
-// async mode regresses below the per-fence-scan mode at the top measured
-// thread count — the CI regression gate for the subsystem.
+// `--quick` runs the sweep against smaller sizes and writes the
+// .quick.json variant — the CI smoke configuration. `--check` exits
+// nonzero if the async mode regresses below the per-fence-scan mode at
+// the top measured thread count — the CI regression gate for the
+// subsystem.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -47,70 +42,7 @@
 namespace privstm::bench {
 namespace {
 
-using tm::FencePolicy;
 using tm::TmKind;
-
-// ---------------------------------------------------------------------------
-// E6: policy sweep (google-benchmark cases, unchanged shape).
-// ---------------------------------------------------------------------------
-
-void run_mix_under_policy(benchmark::State& state, FencePolicy policy) {
-  MixParams params;
-  params.threads = static_cast<std::size_t>(state.range(0));
-  params.txn_size = static_cast<std::size_t>(state.range(1));
-  params.read_pct = static_cast<std::size_t>(state.range(2));
-  params.registers = 512;
-  params.txns_per_thread = 3000;
-
-  tm::TmConfig config;
-  config.num_registers = params.registers;
-  config.fence_policy = policy;
-  auto tmi = tm::make_tm(TmKind::kTl2, config);
-
-  std::uint64_t total_commits = 0;
-  std::uint64_t seed = 99;
-  for (auto _ : state) {
-    total_commits += run_mix_phase(*tmi, params, seed++);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(total_commits));
-  state.counters["txns"] = static_cast<double>(total_commits);
-  state.counters["fences"] =
-      static_cast<double>(tmi->stats().total(rt::Counter::kFence));
-  state.counters["aborts"] =
-      static_cast<double>(tmi->stats().total(rt::Counter::kTxAbort));
-  state.counters["txn_throughput"] = benchmark::Counter(
-      static_cast<double>(total_commits), benchmark::Counter::kIsRate);
-}
-
-void BM_FenceOverhead_None(benchmark::State& state) {
-  run_mix_under_policy(state, FencePolicy::kNone);
-}
-void BM_FenceOverhead_Always(benchmark::State& state) {
-  run_mix_under_policy(state, FencePolicy::kAlways);
-}
-void BM_FenceOverhead_SkipRO(benchmark::State& state) {
-  run_mix_under_policy(state, FencePolicy::kSkipAfterReadOnly);
-}
-
-void apply_args(benchmark::internal::Benchmark* b) {
-  // threads × txn_size × read_pct — the Yoo-style sweep.
-  for (int threads : {1, 2, 4}) {
-    for (int txn_size : {2, 8}) {
-      for (int read_pct : {90, 50}) {
-        b->Args({threads, txn_size, read_pct});
-      }
-    }
-  }
-  b->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(3);
-}
-
-BENCHMARK(BM_FenceOverhead_None)->Apply(apply_args);
-BENCHMARK(BM_FenceOverhead_Always)->Apply(apply_args);
-BENCHMARK(BM_FenceOverhead_SkipRO)->Apply(apply_args);
-
-// ---------------------------------------------------------------------------
-// E14: multi-privatizer fence throughput (the persisted matrix).
-// ---------------------------------------------------------------------------
 
 enum class StormMode { kScan, kAsync };
 
@@ -334,14 +266,11 @@ bool write_fence_json(const std::string& path,
 int main(int argc, char** argv) {
   bool quick = false;
   bool check = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--check") == 0) {
       check = true;
-    } else {
-      args.push_back(argv[i]);
     }
   }
 
@@ -377,13 +306,6 @@ int main(int argc, char** argv) {
                  "per-fence-scan mode ("
               << async_ratio << "x at " << top_threads << " threads)\n";
     return 1;
-  }
-
-  if (!quick) {
-    int bench_argc = static_cast<int>(args.size());
-    benchmark::Initialize(&bench_argc, args.data());
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
   }
   return 0;
 }

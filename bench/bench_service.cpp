@@ -19,14 +19,13 @@
 //    anyway); the TL2 family pays for the storm in aborts, not latency
 //    floor.
 //
-// This binary has its own main() and no google-benchmark dependency: it
-// sweeps the matrix, runs the governed traced cell and the storm-shift
-// schedule (adaptive governor vs each static CmPolicy, experiment E17),
-// and persists BENCH_service.json (schema 3). `--quick` runs a smaller
-// matrix to BENCH_service.quick.json and self-gates — the sweeps must
-// actually retire expired sessions, every op class must report
-// percentiles, and the adaptive column must hold its storm-shift gates —
-// returning nonzero on violation (the CI smoke).
+// This binary has its own main(): it sweeps the matrix, runs the governed
+// traced cell and the storm-shift schedule (adaptive governor vs each
+// static CmPolicy, experiment E17), and persists BENCH_service.json
+// (schema 3). `--quick` runs a smaller matrix to BENCH_service.quick.json
+// and self-gates — the sweeps must actually retire expired sessions, every
+// op class must report percentiles, and the adaptive column must hold its
+// storm-shift gates — returning nonzero on violation (the CI smoke).
 #include <algorithm>
 #include <atomic>
 #include <cstring>

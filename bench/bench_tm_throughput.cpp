@@ -1,5 +1,5 @@
-// Experiment E8 — TL2 (faithful and fused) vs NOrec vs global lock
-// throughput.
+// TM throughput matrix — TL2 (faithful and fused) vs NOrec vs global lock,
+// persisted as BENCH_tm_throughput.json.
 //
 // Shape expectations:
 //  * read-heavy, low-contention: TL2 > NOrec > glock at >1 thread
@@ -13,200 +13,23 @@
 //  * 1 thread: glock wins (no metadata), the STM instrumentation cost is
 //    the TL2/NOrec intercept.
 //
-// Args: {threads, read_pct, registers}.
-//
-// This binary has its own main(): before running the google-benchmark
-// suite it sweeps backend × threads over a read-heavy and a write-heavy
-// mix and persists the result as BENCH_tm_throughput.json (see
-// bench_common.hpp). `--quick` runs a smaller sweep and skips the
-// google-benchmark phase — the CI smoke configuration.
+// The matrix sweeps backend × threads over a read-heavy and a write-heavy
+// mix, the alloc-free and mixed-churn allocator cells, the clock-share
+// probe, the adaptive-governor column and the trace-overhead probe, and
+// writes one row per cell (see bench_common.hpp). `--quick` runs a smaller
+// sweep into BENCH_tm_throughput.quick.json and self-gates the counters —
+// the CI smoke configuration. `--trace <path>` dumps the traced probe
+// cell's Chrome trace plus a `<path>.prom` Prometheus exposition.
 #include <algorithm>
 #include <array>
 #include <cstring>
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "runtime/metrics.hpp"
 
 namespace privstm::bench {
 namespace {
-
-using tm::TmKind;
-
-void run_throughput(benchmark::State& state, TmKind kind) {
-  MixParams params;
-  params.threads = static_cast<std::size_t>(state.range(0));
-  params.read_pct = static_cast<std::size_t>(state.range(1));
-  params.registers = static_cast<std::size_t>(state.range(2));
-  params.txn_size = 4;
-  params.txns_per_thread = 4000;
-
-  tm::TmConfig config;
-  config.num_registers = params.registers;
-  auto tmi = tm::make_tm(kind, config);
-
-  std::uint64_t total = 0;
-  std::uint64_t seed = 7;
-  for (auto _ : state) {
-    total += run_mix_phase(*tmi, params, seed++);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(total));
-  state.counters["txn_throughput"] = benchmark::Counter(
-      static_cast<double>(total), benchmark::Counter::kIsRate);
-  state.counters["aborts"] =
-      static_cast<double>(tmi->stats().total(rt::Counter::kTxAbort));
-}
-
-void BM_Throughput_TL2(benchmark::State& state) {
-  run_throughput(state, TmKind::kTl2);
-}
-void BM_Throughput_TL2Fused(benchmark::State& state) {
-  run_throughput(state, TmKind::kTl2Fused);
-}
-void BM_Throughput_NOrec(benchmark::State& state) {
-  run_throughput(state, TmKind::kNOrec);
-}
-void BM_Throughput_GlobalLock(benchmark::State& state) {
-  run_throughput(state, TmKind::kGlobalLock);
-}
-
-void apply_args(benchmark::internal::Benchmark* b) {
-  for (int threads : {1, 2, 4, 8}) {
-    for (int read_pct : {90, 50}) {
-      for (int registers : {64, 4096}) {
-        b->Args({threads, read_pct, registers});
-      }
-    }
-  }
-  b->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(3);
-}
-
-BENCHMARK(BM_Throughput_TL2)->Apply(apply_args);
-BENCHMARK(BM_Throughput_TL2Fused)->Apply(apply_args);
-BENCHMARK(BM_Throughput_NOrec)->Apply(apply_args);
-BENCHMARK(BM_Throughput_GlobalLock)->Apply(apply_args);
-
-// Privatization-phase workload: threads alternate between transactional
-// batches and privatize→NT-update→publish phases — the end-to-end cost of
-// the paper's programming model on each TM (TL2 pays the fence; NOrec
-// does not need it; glock is the serial floor).
-void run_privatization_phases(benchmark::State& state, TmKind kind,
-                              bool use_fence) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kSlots = 8;     // per-thread data slot + flag
-  tm::TmConfig config;
-  config.num_registers = 2 * kSlots;
-  auto tmi = tm::make_tm(kind, config);
-
-  std::uint64_t phases = 0;
-  for (auto _ : state) {
-    parallel_phase(threads, [&](std::size_t t) {
-      auto session = tmi->make_thread(static_cast<hist::ThreadId>(t),
-                                      nullptr);
-      const auto flag = static_cast<hist::RegId>(t % kSlots);
-      const auto data = static_cast<hist::RegId>(kSlots + (t % kSlots));
-      hist::Value tag = (static_cast<hist::Value>(t) + 1) << 40;
-      for (int round = 0; round < 300; ++round) {
-        // Privatize the slot.
-        tm::run_tx_retry(*session,
-                         [&](tm::TxScope& tx) { tx.write(flag, ++tag); });
-        if (use_fence) session->fence();
-        // NT updates while private.
-        for (int k = 0; k < 8; ++k) session->nt_write(data, ++tag);
-        // Publish back.
-        tm::run_tx_retry(*session,
-                         [&](tm::TxScope& tx) { tx.write(flag, ++tag); });
-      }
-    });
-    phases += threads * 300;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(phases));
-  state.counters["fences"] =
-      static_cast<double>(tmi->stats().total(rt::Counter::kFence));
-}
-
-// Write-then-privatize mix: every round commits a write transaction to the
-// thread's slot and then privatizes it. The sync variant pays the fence on
-// the round's critical path; the deferred variant issues the fence ticket,
-// commits the NEXT round's write transaction underneath the grace period,
-// and completes the ticket afterwards — the fence_async() idiom end to end
-// on the shared quiescence subsystem's grace-period engine.
-void run_write_then_privatize(benchmark::State& state, TmKind kind,
-                              bool deferred) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  constexpr int kRounds = 400;
-  tm::TmConfig config;
-  config.num_registers = 2 * threads + 2;
-  auto tmi = tm::make_tm(kind, config);
-
-  std::uint64_t rounds = 0;
-  for (auto _ : state) {
-    parallel_phase(threads, [&](std::size_t t) {
-      auto session = tmi->make_thread(static_cast<hist::ThreadId>(t),
-                                      nullptr);
-      const auto reg = static_cast<hist::RegId>(t);
-      const auto aux = static_cast<hist::RegId>(threads + t);
-      hist::Value tag = (static_cast<hist::Value>(t) + 1) << 40;
-      rt::FenceTicket pending = rt::kNullFenceTicket;
-      for (int round = 0; round < kRounds; ++round) {
-        tm::run_tx_retry(*session,
-                         [&](tm::TxScope& tx) { tx.write(reg, ++tag); });
-        if (deferred) {
-          const rt::FenceTicket ticket = session->fence_async();
-          session->fence_wait(pending);  // previous round's privatization
-          pending = ticket;
-        } else {
-          session->fence();
-        }
-        session->nt_write(aux, ++tag);  // the privatized update
-      }
-      session->fence_wait(pending);
-    });
-    rounds += threads * kRounds;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
-  state.counters["fences"] =
-      static_cast<double>(tmi->stats().total(rt::Counter::kFence));
-  state.counters["fences_coalesced"] = static_cast<double>(
-      tmi->stats().total(rt::Counter::kFenceCoalesced));
-}
-
-void BM_WriteThenPrivatize_TL2Fused_Sync(benchmark::State& state) {
-  run_write_then_privatize(state, TmKind::kTl2Fused, false);
-}
-void BM_WriteThenPrivatize_TL2Fused_Deferred(benchmark::State& state) {
-  run_write_then_privatize(state, TmKind::kTl2Fused, true);
-}
-
-void apply_wtp_args(benchmark::internal::Benchmark* b) {
-  for (int threads : {1, 2, 4, 8}) b->Args({threads});
-  b->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(3);
-}
-
-BENCHMARK(BM_WriteThenPrivatize_TL2Fused_Sync)->Apply(apply_wtp_args);
-BENCHMARK(BM_WriteThenPrivatize_TL2Fused_Deferred)->Apply(apply_wtp_args);
-
-void BM_PrivatizationPhases_TL2_Fenced(benchmark::State& state) {
-  run_privatization_phases(state, TmKind::kTl2, true);
-}
-void BM_PrivatizationPhases_TL2Fused_Fenced(benchmark::State& state) {
-  run_privatization_phases(state, TmKind::kTl2Fused, true);
-}
-void BM_PrivatizationPhases_NOrec_NoFence(benchmark::State& state) {
-  run_privatization_phases(state, TmKind::kNOrec, false);
-}
-void BM_PrivatizationPhases_GlobalLock(benchmark::State& state) {
-  run_privatization_phases(state, TmKind::kGlobalLock, false);
-}
-
-void apply_phase_args(benchmark::internal::Benchmark* b) {
-  for (int threads : {1, 2, 4}) b->Args({threads});
-  b->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(3);
-}
-
-BENCHMARK(BM_PrivatizationPhases_TL2_Fenced)->Apply(apply_phase_args);
-BENCHMARK(BM_PrivatizationPhases_TL2Fused_Fenced)->Apply(apply_phase_args);
-BENCHMARK(BM_PrivatizationPhases_NOrec_NoFence)->Apply(apply_phase_args);
-BENCHMARK(BM_PrivatizationPhases_GlobalLock)->Apply(apply_phase_args);
 
 // Alloc/free-heavy privatization phases: every round allocates a block
 // from the transactional heap, fills it transactionally, privatizes it
@@ -235,32 +58,6 @@ void run_alloc_free_phase(tm::TransactionalMemory& tmi, std::size_t threads,
     }
   });
 }
-
-void BM_AllocFreePrivatize(benchmark::State& state, TmKind kind) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  constexpr int kRounds = 300;
-  auto tmi = tm::make_tm(kind, tm::TmConfig{});
-
-  std::uint64_t rounds = 0;
-  for (auto _ : state) {
-    run_alloc_free_phase(*tmi, threads, kRounds);
-    rounds += threads * kRounds;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
-  state.counters["reclaimed"] =
-      static_cast<double>(tmi->heap().reclaimed_count());
-  state.counters["limbo"] = static_cast<double>(tmi->heap().limbo_size());
-}
-
-void BM_AllocFreePrivatize_TL2Fused(benchmark::State& state) {
-  BM_AllocFreePrivatize(state, TmKind::kTl2Fused);
-}
-void BM_AllocFreePrivatize_NOrec(benchmark::State& state) {
-  BM_AllocFreePrivatize(state, TmKind::kNOrec);
-}
-
-BENCHMARK(BM_AllocFreePrivatize_TL2Fused)->Apply(apply_wtp_args);
-BENCHMARK(BM_AllocFreePrivatize_NOrec)->Apply(apply_wtp_args);
 
 // Mixed-size churn: each thread rotates a window of live blocks whose
 // sizes cycle through several size classes, transacting on every block it
@@ -294,32 +91,6 @@ void run_mixed_churn_phase(tm::TransactionalMemory& tmi, std::size_t threads,
     }
   });
 }
-
-void BM_MixedChurn(benchmark::State& state, TmKind kind) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  constexpr int kRounds = 400;
-  auto tmi = tm::make_tm(kind, tm::TmConfig{});
-  std::uint64_t rounds = 0;
-  for (auto _ : state) {
-    run_mixed_churn_phase(*tmi, threads, kRounds);
-    rounds += threads * kRounds;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
-  state.counters["arena_cells"] =
-      static_cast<double>(tmi->heap().allocated_end());
-  state.counters["shared_refills"] = static_cast<double>(
-      tmi->stats().total(rt::Counter::kAllocSharedRefill));
-}
-
-void BM_MixedChurn_TL2Fused(benchmark::State& state) {
-  BM_MixedChurn(state, TmKind::kTl2Fused);
-}
-void BM_MixedChurn_NOrec(benchmark::State& state) {
-  BM_MixedChurn(state, TmKind::kNOrec);
-}
-
-BENCHMARK(BM_MixedChurn_TL2Fused)->Apply(apply_wtp_args);
-BENCHMARK(BM_MixedChurn_NOrec)->Apply(apply_wtp_args);
 
 // ---------------------------------------------------------------------------
 // The persisted matrix: backend × threads over a read-heavy low-contention
@@ -370,7 +141,7 @@ MatrixResult run_matrix(bool quick) {
   const std::size_t txns = quick ? 500 : 12000;
   // Best-of-N per cell: scheduler interference only ever *lowers* a
   // measurement, so the max over repetitions is the least-noisy estimate
-  // of what the backend can do (google-benchmark's max aggregate).
+  // of what the backend can do.
   const int repeats = quick ? 2 : 7;
 
   MatrixResult result;
@@ -433,23 +204,7 @@ MatrixResult run_matrix(bool quick) {
           r.read_pct = 0;
           r.registers = kAllocFreeBlock;  // block size, not a register file
           r.txn_size = kAllocFreeBlock;
-          r.commits = tmi->stats().total(rt::Counter::kTxCommit);
-          r.aborts = tmi->stats().total(rt::Counter::kTxAbort);
-          const double attempts = static_cast<double>(r.commits + r.aborts);
-          r.abort_rate =
-              attempts > 0.0 ? static_cast<double>(r.aborts) / attempts
-                             : 0.0;
-          r.retries_per_commit =
-              r.commits > 0 ? static_cast<double>(r.aborts) /
-                                  static_cast<double>(r.commits)
-                            : 0.0;
-          r.backoffs = tmi->stats().total(rt::Counter::kTxRetryBackoff);
-          r.escalations = tmi->stats().total(rt::Counter::kTxEscalated);
-          r.shards = tmi->heap().shard_count();
-          r.shard_steals =
-              tmi->stats().total(rt::Counter::kAllocShardSteal);
-          r.clock_shared =
-              tmi->stats().total(rt::Counter::kClockStampShared);
+          fill_counters(r, *tmi);
           r.ops_per_sec =
               secs > 0.0
                   ? static_cast<double>(threads) * cell.rounds / secs
@@ -504,20 +259,7 @@ MatrixResult run_matrix(bool quick) {
     r.read_pct = p.read_pct;
     r.registers = p.registers;
     r.txn_size = p.txn_size;
-    r.commits = tmi->stats().total(rt::Counter::kTxCommit);
-    r.aborts = tmi->stats().total(rt::Counter::kTxAbort);
-    const double attempts = static_cast<double>(r.commits + r.aborts);
-    r.abort_rate =
-        attempts > 0.0 ? static_cast<double>(r.aborts) / attempts : 0.0;
-    r.retries_per_commit =
-        r.commits > 0
-            ? static_cast<double>(r.aborts) / static_cast<double>(r.commits)
-            : 0.0;
-    r.backoffs = tmi->stats().total(rt::Counter::kTxRetryBackoff);
-    r.escalations = tmi->stats().total(rt::Counter::kTxEscalated);
-    r.shards = tmi->heap().shard_count();
-    r.shard_steals = tmi->stats().total(rt::Counter::kAllocShardSteal);
-    r.clock_shared = tmi->stats().total(rt::Counter::kClockStampShared);
+    fill_counters(r, *tmi);
     r.ops_per_sec =
         secs > 0.0 ? static_cast<double>(committed) / secs : 0.0;
     result.probe_clock_shared += r.clock_shared;
@@ -638,42 +380,6 @@ TraceProbeResult run_trace_probe(bool quick, const std::string& trace_path) {
   return result;
 }
 
-/// The previous allocator's alloc-free cells, re-measured on the same box
-/// right before the PR 4 allocator landed (full-mode rounds, best-of-4):
-/// the "before" of the before/after schema 3 records. The magazine +
-/// batched-limbo allocator is chartered to beat these at 8 threads.
-constexpr const char* kAllocFreeBaselineNote =
-    "PR 3 single-lock exact-size allocator (commit 51dc293), same box, "
-    "full-mode alloc-free cell, measured 2026-07-30";
-const std::vector<BaselineRow> kAllocFreeBaseline = {
-    {"tl2", 1, 4880230},  {"tl2fused", 1, 5389270},
-    {"norec", 1, 6151930}, {"glock", 1, 5988940},
-    {"tl2", 2, 4586940},  {"tl2fused", 2, 4969290},
-    {"norec", 2, 5536960}, {"glock", 2, 5498450},
-    {"tl2", 4, 2963790},  {"tl2fused", 4, 4321280},
-    {"norec", 4, 5093490}, {"glock", 4, 4987330},
-    {"tl2", 8, 3787750},  {"tl2fused", 8, 4086380},
-    {"norec", 8, 4485980}, {"glock", 8, 4657710},
-};
-
-/// The pre-sharding allocator + fetch_add-clock configuration (PR 6,
-/// commit 9ed7537), re-measured on the same box right before the sharded
-/// store / batched clock landed: the "before" of the schema-5 before/after
-/// on the two cells the sharding PR is chartered to move at 8 threads.
-constexpr const char* kPr6BaselineNote =
-    "PR 6 unsharded free store + fetch_add clock (commit 9ed7537), same "
-    "box, full-mode write-heavy and mixed-churn cells, measured 2026-08-07";
-const std::vector<BaselineRow> kPr6Baseline = {
-    {"tl2", 8, 3567650, "write-heavy"},
-    {"tl2fused", 8, 5178870, "write-heavy"},
-    {"norec", 8, 5883450, "write-heavy"},
-    {"glock", 8, 7310110, "write-heavy"},
-    {"tl2", 8, 4180600, "mixed-churn"},
-    {"tl2fused", 8, 4913810, "mixed-churn"},
-    {"norec", 8, 6469910, "mixed-churn"},
-    {"glock", 8, 6528770, "mixed-churn"},
-};
-
 /// Report the headline ratio the fused backend is chartered to deliver:
 /// tl2fused vs tl2 at the highest measured thread count on the write-heavy
 /// mix (identified by its kWorkloads entry, so the filter tracks edits).
@@ -704,14 +410,11 @@ void report_fused_speedup(const std::vector<ThroughputRow>& rows) {
 int main(int argc, char** argv) {
   bool quick = false;
   std::string trace_path;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
-    } else {
-      args.push_back(argv[i]);
     }
   }
 
@@ -731,11 +434,7 @@ int main(int argc, char** argv) {
   const char* path =
       quick ? "BENCH_tm_throughput.quick.json" : "BENCH_tm_throughput.json";
   if (privstm::bench::write_throughput_json(
-          path, rows, privstm::tm::AllocConfig{},
-          privstm::bench::kAllocFreeBaselineNote,
-          privstm::bench::kAllocFreeBaseline,
-          privstm::bench::kPr6BaselineNote, privstm::bench::kPr6Baseline,
-          probe.metrics_json)) {
+          path, rows, privstm::tm::AllocConfig{}, probe.metrics_json)) {
     std::cout << "wrote " << rows.size() << " rows to " << path << "\n";
   } else {
     std::cerr << "failed to write " << path << "\n";
@@ -810,13 +509,6 @@ int main(int argc, char** argv) {
               << probe.on.ops_per_sec << " ops/s vs disabled "
               << probe.off.ops_per_sec << " ops/s (tolerance 0.35x)\n";
     return 1;
-  }
-
-  if (!quick) {
-    int bench_argc = static_cast<int>(args.size());
-    benchmark::Initialize(&bench_argc, args.data());
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
   }
   return 0;
 }

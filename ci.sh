@@ -28,6 +28,29 @@ cmake --build build -j"$(nproc)"
 
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
+# Repo-benchmark smoke: a short seeded run of every BENCHMARK.json workload
+# (untraced), plus one traced session-storm run for the per-layer metric
+# set. run.py builds perfbench into .bench_build/ and dies if the library
+# stops building there or the metric set drifts from BENCHMARK.json; each
+# run must also report a correct result with zero failed ops.
+perfbench_smoke() {
+  local last
+  last=$(python3 perfbench/run.py --workload "$1" --seed 1 --seconds 5 \
+    --trace "$2" | tail -n 1)
+  echo "perfbench $1 (trace $2): $last"
+  if ! grep -q '"correct": true' <<<"$last" ||
+     ! grep -q '"failed": 0,' <<<"$last"; then
+    echo "FAIL: perfbench $1 (trace $2) was not correct and failure-free" >&2
+    return 1
+  fi
+}
+workloads=$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+for workload in $workloads; do
+  perfbench_smoke "$workload" 0
+done
+perfbench_smoke session-storm 1
+
 # Smoke-run the throughput matrix (writes BENCH_tm_throughput.quick.json;
 # the committed full matrix comes from a run without --quick). The quick
 # run also self-asserts that the alloc-free / mixed-churn cells retired at
@@ -75,7 +98,7 @@ grep -q '"name": "governor_shift"' build/TRACE_service.quick.json
 # must fail here. The throughput side is covered by bench_tm_throughput's
 # own self-gates above (tracing-disabled regression vs the matrix
 # reference, tracing-enabled collapse vs the disabled cell); the last grep
-# checks the embedded metrics snapshot reached the schema-6 perf log.
+# checks the embedded metrics snapshot reached the schema-7 perf log.
 grep -q '"name": "fence"' build/TRACE_service.quick.json
 grep -q '"name": "sweep_reclaim"' build/TRACE_service.quick.json
 grep -q '^privstm_tx_commits_total' build/TRACE_service.quick.json.prom

@@ -4,22 +4,16 @@
 #include <functional>
 
 namespace privstm::rt {
-namespace {
-
-std::uint64_t counter_delta(const MetricsSnapshot& snap, Counter c) noexcept {
-  // MetricsRegistry::snapshot() emits one row per Counter in enum order.
-  const auto i = static_cast<std::size_t>(c);
-  return i < snap.counters.size() ? snap.counters[i].value : 0;
-}
-
-}  // namespace
 
 AdaptiveGovernor::AdaptiveGovernor(StatsDomain& stats, GovernorConfig config,
                                    TraceDomain* trace)
-    : config_(config), stats_(&stats), trace_(trace) {
-  registry_.add_counters(stats_);
-  if (trace_ != nullptr) registry_.set_trace(trace_);
-  registry_.mark();  // epoch deltas start from construction, not process start
+    : config_(config),
+      stats_(&stats),
+      trace_(trace),
+      // Epoch deltas start from construction, not process start.
+      base_commits_(stats.total(Counter::kTxCommit)),
+      base_aborts_(stats.total(Counter::kTxAbort)),
+      base_escalations_(stats.total(Counter::kTxEscalated)) {
   decision_.store(pack(decision_for(Tier::kSteady)),
                   std::memory_order_relaxed);
 }
@@ -46,19 +40,25 @@ GovernorDecision AdaptiveGovernor::decision_for(Tier tier) const noexcept {
   return d;
 }
 
-void AdaptiveGovernor::evaluate(std::size_t slot) noexcept {
-  const MetricsSnapshot snap = registry_.snapshot();
-  registry_.mark();
+std::uint64_t AdaptiveGovernor::take_delta(Counter c,
+                                           std::uint64_t& base) noexcept {
+  const std::uint64_t now = stats_->total(c);
+  // A StatsDomain::reset() can move a total below its baseline.
+  const std::uint64_t delta = now >= base ? now - base : 0;
+  base = now;
+  return delta;
+}
 
+void AdaptiveGovernor::evaluate(std::size_t slot) noexcept {
+  // TM-wide deltas since the last evaluation (or construction).
   GovernorEpochSummary s;
-  s.commits = counter_delta(snap, Counter::kTxCommit);
-  s.aborts = counter_delta(snap, Counter::kTxAbort);
-  s.escalations = counter_delta(snap, Counter::kTxEscalated);
+  s.commits = take_delta(Counter::kTxCommit, base_commits_);
+  s.aborts = take_delta(Counter::kTxAbort, base_aborts_);
+  s.escalations = take_delta(Counter::kTxEscalated, base_escalations_);
   const std::uint64_t attempts = s.commits + s.aborts;
   s.abort_permille = attempts != 0 ? static_cast<std::uint32_t>(
                                          (1000 * s.aborts) / attempts)
                                    : 0;
-  if (!snap.hot_stripes.empty()) s.hottest_stripe = snap.hot_stripes[0].stripe;
 
   // Drain the epoch accumulators (concurrent note_abort updates between
   // the exchanges slide into the next epoch — relaxed is fine here).

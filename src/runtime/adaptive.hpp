@@ -4,13 +4,14 @@
 // PR 6 gave every retry loop a *static* TxRetryOptions{policy,
 // escalate_after}; PR 9 gave the stack the signals an auto-tuner needs
 // (abort attribution with reasons and faulting stripes, the per-stripe
-// conflict heat map, MetricsRegistry mark()/snapshot() deltas). This class
-// closes the loop: an epoch-based controller that, every `epoch_commits`
-// committed transactions under governed loops, snapshots its internal
-// MetricsRegistry for the TM's commit/abort/backoff/escalation deltas,
-// folds in the per-epoch abort-reason mix and a hashed hot-stripe sketch
-// (both fed by run_tx_retry via note_abort, so the decision inputs exist
-// even with tracing off), and selects the next epoch's contention tier:
+// conflict heat map, the StatsDomain counters). This class closes the
+// loop: an epoch-based controller that, every `epoch_commits` committed
+// transactions under governed loops, reads the TM's commit/abort/
+// escalation totals straight from the StatsDomain as deltas against its
+// own baselines, folds in the per-epoch abort-reason mix and a hashed
+// hot-stripe sketch (both fed by run_tx_retry via note_abort, so the
+// decision inputs exist even with tracing off), and selects the next
+// epoch's contention tier:
 //
 //   kSteady  — abort rate below `low_abort_permille`: retry immediately
 //              (kImmediate); pauses would only tax the common case.
@@ -47,7 +48,6 @@
 
 #include "runtime/cacheline.hpp"
 #include "runtime/contention.hpp"
-#include "runtime/metrics.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/trace.hpp"
 
@@ -100,7 +100,6 @@ struct GovernorEpochSummary {
   std::uint64_t attributed = 0;  ///< aborts carrying a real stripe
   std::uint32_t abort_permille = 0;
   std::uint32_t hot_share_permille = 0;
-  std::uint32_t hottest_stripe = kNoStripe;  ///< from the heat map, if traced
   AbortReason dominant_reason = AbortReason::kNone;
   CmPolicy candidate = CmPolicy::kImmediate;  ///< this epoch's raw verdict
   CmPolicy adopted = CmPolicy::kImmediate;    ///< live policy after hysteresis
@@ -115,10 +114,9 @@ class AdaptiveGovernor {
   static constexpr std::size_t kHotTopCells = 4;
 
   /// `stats` is the governed TM's counter domain — both the input (commit/
-  /// abort deltas through the internal MetricsRegistry) and the output
+  /// abort/escalation deltas, counted from construction) and the output
   /// (kGovernorEpoch / kGovernorPolicyShift land there). `trace`, when the
-  /// TM traces, adds the heat map's hottest stripe to the epoch summary
-  /// and carries the governor's epoch/shift instants.
+  /// TM traces, carries the governor's epoch/shift instants.
   explicit AdaptiveGovernor(StatsDomain& stats, GovernorConfig config = {},
                             TraceDomain* trace = nullptr);
 
@@ -190,7 +188,10 @@ class AdaptiveGovernor {
 
   GovernorDecision decision_for(Tier tier) const noexcept;
 
-  /// Epoch evaluation: snapshot deltas, drain the reason/sketch
+  /// Counter `c`'s total minus `base`, then latch `base` to that total.
+  std::uint64_t take_delta(Counter c, std::uint64_t& base) noexcept;
+
+  /// Epoch evaluation: read the counter deltas, drain the reason/sketch
   /// accumulators, classify, apply hysteresis, publish. Runs under
   /// epoch_lock_ on the winning committer's thread.
   void evaluate(std::size_t slot) noexcept;
@@ -198,7 +199,11 @@ class AdaptiveGovernor {
   GovernorConfig config_;
   StatsDomain* stats_;
   TraceDomain* trace_;
-  MetricsRegistry registry_;  ///< over stats_ (+ trace_): the delta source
+  // Counter totals at the last evaluation (or construction): the epoch
+  // delta baselines. Epoch-lock holder only.
+  std::uint64_t base_commits_;
+  std::uint64_t base_aborts_;
+  std::uint64_t base_escalations_;
 
   alignas(kCacheLine) std::atomic<std::uint64_t> decision_;
   alignas(kCacheLine) std::atomic<std::uint32_t> commits_since_{0};

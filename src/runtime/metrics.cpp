@@ -6,78 +6,13 @@
 
 namespace privstm::rt {
 
-const char* counter_prom_name(Counter c) noexcept {
-  switch (c) {
-    case Counter::kTxCommit:
-      return "tx_commits";
-    case Counter::kTxReadOnlyCommit:
-      return "tx_ro_commits";
-    case Counter::kTxAbort:
-      return "tx_aborts";
-    case Counter::kTxReadValidationFail:
-      return "tx_read_validation_fails";
-    case Counter::kTxLockFail:
-      return "tx_lock_fails";
-    case Counter::kFence:
-      return "fences";
-    case Counter::kFenceCoalesced:
-      return "fences_coalesced";
-    case Counter::kFenceAsyncIssued:
-      return "fences_async_issued";
-    case Counter::kFenceAsyncOverflow:
-      return "fences_async_overflow";
-    case Counter::kNtRead:
-      return "nt_reads";
-    case Counter::kNtWrite:
-      return "nt_writes";
-    case Counter::kDoomedDetected:
-      return "doomed_detected";
-    case Counter::kPostconditionViolation:
-      return "postcondition_violations";
-    case Counter::kAllocSharedRefill:
-      return "alloc_shared_refills";
-    case Counter::kLimboBatchRetired:
-      return "limbo_batches_retired";
-    case Counter::kAllocCompaction:
-      return "alloc_compactions";
-    case Counter::kTxRetryBackoff:
-      return "tx_retry_backoffs";
-    case Counter::kTxEscalated:
-      return "tx_escalations";
-    case Counter::kFaultInjected:
-      return "faults_injected";
-    case Counter::kClockStampShared:
-      return "clock_stamps_shared";
-    case Counter::kAllocShardSteal:
-      return "alloc_shard_steals";
-    case Counter::kGovernorEpoch:
-      return "governor_epochs";
-    case Counter::kGovernorPolicyShift:
-      return "governor_policy_shifts";
-    case Counter::kCount:
-      break;
-  }
-  return "?";
-}
-
-void MetricsRegistry::mark() {
-  baseline_.assign(kCounterCount, 0);
-  if (stats_ == nullptr) return;
-  for (std::size_t i = 0; i < kCounterCount; ++i) {
-    baseline_[i] = stats_->total(static_cast<Counter>(i));
-  }
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   if (stats_ != nullptr) {
     snap.counters.reserve(kCounterCount);
     for (std::size_t i = 0; i < kCounterCount; ++i) {
       const auto c = static_cast<Counter>(i);
-      const std::uint64_t base = i < baseline_.size() ? baseline_[i] : 0;
-      const std::uint64_t now = stats_->total(c);
-      snap.counters.push_back(
-          {counter_prom_name(c), now >= base ? now - base : 0});
+      snap.counters.push_back({counter_name(c), stats_->total(c)});
     }
   }
   for (const NamedHist& h : histograms_) {

@@ -4,10 +4,10 @@
 //
 // The registry holds *pointers* to live instruments (a StatsDomain, named
 // histograms, gauge closures, an optional TraceDomain) and materializes an
-// owning MetricsSnapshot on demand. mark() latches the current counter
-// totals as a baseline so subsequent snapshots report deltas — the shape
-// the adaptive-CM consumer (ROADMAP item 2) and the benches want: "what
-// happened during *this* phase", not since process start.
+// owning MetricsSnapshot on demand. Counter rows are totals, named by
+// rt::counter_name; a consumer that wants per-phase deltas reads
+// StatsDomain::total directly and keeps its own baselines (the adaptive
+// governor does).
 //
 // Exporters:
 //  - to_json(): a plain JSON object, embeddable into the BENCH_*.json
@@ -30,15 +30,11 @@
 
 namespace privstm::rt {
 
-/// Prometheus-style base name for a counter (no prefix/suffix):
-/// kTxCommit => "tx_commits". Unique and non-empty for every real Counter.
-const char* counter_prom_name(Counter c) noexcept;
-
 /// Owning, immutable view of every registered instrument at one instant.
 struct MetricsSnapshot {
   struct CounterRow {
-    std::string name;     ///< counter_prom_name
-    std::uint64_t value;  ///< delta since mark() (total if never marked)
+    std::string name;     ///< counter_name
+    std::uint64_t value;  ///< total across every thread slot
   };
   struct HistRow {
     std::string name;
@@ -79,9 +75,6 @@ class MetricsRegistry {
   /// Register the trace domain for heat-map / drop-count rows. Not owned.
   void set_trace(const TraceDomain* trace) { trace_ = trace; }
 
-  /// Latch current counter totals; later snapshots report deltas from here.
-  void mark();
-
   MetricsSnapshot snapshot() const;
 
  private:
@@ -98,7 +91,6 @@ class MetricsRegistry {
   const TraceDomain* trace_ = nullptr;
   std::vector<NamedHist> histograms_;
   std::vector<NamedGauge> gauges_;
-  std::vector<std::uint64_t> baseline_;  ///< per-Counter mark() totals
 };
 
 /// Render a snapshot as a JSON object (no trailing newline) — embeddable

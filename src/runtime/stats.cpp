@@ -7,15 +7,15 @@ namespace privstm::rt {
 const char* counter_name(Counter c) noexcept {
   switch (c) {
     case Counter::kTxCommit:
-      return "commits";
+      return "tx_commits";
     case Counter::kTxReadOnlyCommit:
-      return "ro_commits";
+      return "tx_ro_commits";
     case Counter::kTxAbort:
-      return "aborts";
+      return "tx_aborts";
     case Counter::kTxReadValidationFail:
-      return "read_validation_fails";
+      return "tx_read_validation_fails";
     case Counter::kTxLockFail:
-      return "lock_fails";
+      return "tx_lock_fails";
     case Counter::kFence:
       return "fences";
     case Counter::kFenceCoalesced:
@@ -41,7 +41,7 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kTxRetryBackoff:
       return "tx_retry_backoffs";
     case Counter::kTxEscalated:
-      return "tx_escalated";
+      return "tx_escalations";
     case Counter::kFaultInjected:
       return "faults_injected";
     case Counter::kClockStampShared:

@@ -67,7 +67,10 @@ enum class Counter : std::size_t {
 
 constexpr std::size_t kCounterCount = static_cast<std::size_t>(Counter::kCount);
 
-/// Name of a counter for report rows.
+/// The one name of a counter, Prometheus base style (no prefix/suffix):
+/// kTxCommit => "tx_commits". Used by StatsDomain::summary(), the metrics
+/// snapshot rows, and the exporters (`privstm_tx_commits_total`). Unique
+/// and non-empty for every real Counter.
 const char* counter_name(Counter c) noexcept;
 
 /// Per-thread counter block; aggregate() sums across threads. Each thread's
@@ -102,7 +105,8 @@ class StatsDomain {
     }
   }
 
-  /// Render a one-line summary "commits=... aborts=... fences=..." for logs.
+  /// Render a one-line summary "tx_commits=... tx_aborts=... fences=..." for
+  /// logs (nonzero counters only).
   std::string summary() const;
 
  private:

@@ -23,8 +23,7 @@
 //    flag (`r[t] := active[t]; ... while (active[t]);`). Faithful to the
 //    paper; can starve under continuous transactions (the word oscillates
 //    between 0 and 1 and the waiter may keep observing 1). The litmus
-//    tests run it to demonstrate faithfulness, and bench_fence_latency
-//    measures it as the reference against kEpochCounter.
+//    tests run it to demonstrate faithfulness.
 //
 // Scans cover only the claimed-slot prefix: `register_thread` maintains a
 // monotonic high-water mark published before a slot's owner can run its

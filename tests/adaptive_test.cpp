@@ -3,7 +3,8 @@
 // Covers:
 //  * epoch accounting: evaluations fire on the commit cadence, land in
 //    Counter::kGovernorEpoch and the epoch summary, and the default
-//    decision is the steady tier;
+//    decision is the steady tier; epoch deltas count from construction,
+//    so traffic recorded before the governor existed never reaches it;
 //  * hysteresis: one outlier epoch cannot flap the policy — a candidate
 //    tier must win `hysteresis_epochs` consecutive evaluations, and
 //    alternating candidates never displace the live tier;
@@ -110,6 +111,24 @@ TEST(AdaptiveGovernorUnit, EpochAccountingAndSteadyDefault) {
   EXPECT_EQ(s.candidate, CmPolicy::kImmediate);
   EXPECT_EQ(s.adopted, CmPolicy::kImmediate);
   EXPECT_FALSE(s.shifted);
+}
+
+TEST(AdaptiveGovernorUnit, EpochDeltasStartAtConstruction) {
+  // A storm's worth of aborts recorded before the governor exists must not
+  // leak into its first epoch: deltas count from construction, not from
+  // process start.
+  rt::StatsDomain stats;
+  stats.add(0, rt::Counter::kTxAbort, 10000);
+  stats.add(0, rt::Counter::kTxCommit, 100);
+  GovernorConfig cfg;
+  cfg.epoch_commits = 32;
+  AdaptiveGovernor gov(stats, cfg);
+
+  feed_epoch(stats, gov, /*aborts=*/0);
+  EXPECT_EQ(gov.epochs(), 1u);
+  EXPECT_EQ(gov.last_epoch().commits, 32u);
+  EXPECT_EQ(gov.last_epoch().aborts, 0u);
+  EXPECT_EQ(gov.last_epoch().candidate, CmPolicy::kImmediate);
 }
 
 TEST(AdaptiveGovernorUnit, HysteresisBlocksSingleEpochSpike) {
@@ -261,8 +280,10 @@ INSTANTIATE_TEST_SUITE_P(AllTms, AdaptiveGovernorAllTms,
 TEST(AdaptiveService, StormShiftEndToEndKeepsConsistency) {
   // A bounded injected abort storm (budget per slot) over a governed
   // session store: the storm phase must adopt at least one policy shift,
-  // the storm ends before the steady phase, and no phase may report a
-  // consistency violation — the feedback loop never trades correctness.
+  // the storm ends before the steady phase, the clean epochs of a final
+  // quiet phase bring the governor back to the steady tier, and no phase
+  // may report a consistency violation — the feedback loop never trades
+  // correctness.
   TmConfig config;
   config.num_registers = 64;
   config.fault.abort_permille = 1000;
@@ -318,17 +339,36 @@ TEST(AdaptiveService, StormShiftEndToEndKeepsConsistency) {
   EXPECT_EQ(tmi->fault().injected_total(), storm_faults)
       << "the steady phase must run fault-free";
 
+  // Fault-free is not abort-free: the steady phase's two workers and its
+  // sweeper still conflict now and then, and a couple of aborts in a
+  // 32-commit epoch already cross low_abort_permille, so the tier the
+  // steady phase ends on depends on scheduling. The quiet phase has one
+  // worker and no sweeper, so no transaction can abort and every epoch
+  // after its first (which may carry the steady phase's tail) is clean.
+  service::WorkloadConfig quiet_cfg = cfg;
+  quiet_cfg.threads = 1;
+  quiet_cfg.sweep_every_ticks = 0;
+  service::PhaseConfig quiet;
+  quiet.label = "quiet";
+  quiet.ops_per_thread = 400;
+  quiet.zipf_s = 0.99;
+  const auto quiet_result =
+      service::run_phase(*tmi, store, quiet_cfg, quiet, /*seed=*/101, clock);
+
   EXPECT_EQ(storm_result.consistency_violations, 0u);
   EXPECT_EQ(steady_result.consistency_violations, 0u);
+  EXPECT_EQ(quiet_result.consistency_violations, 0u);
   EXPECT_GT(storm_result.governor_epochs, 0u);
   EXPECT_GE(storm_result.governor_shifts, 1u)
       << "the injected storm must drive at least one adopted shift";
-  EXPECT_GE(governor.epochs(),
-            storm_result.governor_epochs + steady_result.governor_epochs);
+  EXPECT_GE(quiet_result.governor_epochs, 3u);
+  EXPECT_GE(governor.epochs(), storm_result.governor_epochs +
+                                   steady_result.governor_epochs +
+                                   quiet_result.governor_epochs);
   // The phase results surface the live policy; after the storm ended
-  // and the steady phase's clean epochs elapsed, the governor must have
+  // and the quiet phase's clean epochs elapsed, the governor must have
   // demoted back off the storm tier (the storm is not sticky).
-  EXPECT_EQ(steady_result.governor_policy, CmPolicy::kImmediate);
+  EXPECT_EQ(quiet_result.governor_policy, CmPolicy::kImmediate);
 }
 
 }  // namespace

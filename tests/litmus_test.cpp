@@ -3,9 +3,9 @@
 //    their recorded histories pass the strong-opacity checker;
 //  * NOrec and the global lock are safe even for the unfenced programs
 //    (NOrec by design, glock trivially);
-//  * unfenced (racy) programs on TL2 are exercised by the benchmarks
-//    (bench_fig1_privatization) — their violations are probabilistic, so
-//    here we only assert the checker classifies such histories as racy.
+//  * unfenced (racy) programs on TL2 violate only probabilistically, so
+//    here we only assert the checker classifies such histories as racy
+//    (tests/explorer_test.cpp proves them racy by enumeration).
 #include <gtest/gtest.h>
 
 #include "lang/litmus.hpp"
@@ -89,7 +89,7 @@ TEST(Litmus, UnfencedTl2HistoriesClassifiedRacy) {
 
 TEST(Litmus, AlwaysPolicySafeWithoutProgramFences) {
   // Conservative fence-after-every-commit makes even the unfenced Fig 1
-  // programs safe on TL2 — at the cost measured in bench_fence_overhead.
+  // programs safe on TL2 — at the cost of one fence per commit.
   for (LitmusSpec spec : {make_fig1a(false), make_fig1b(false)}) {
     SCOPED_TRACE(spec.name);
     LitmusRunOptions options = quick(300);
@@ -107,9 +107,9 @@ TEST(Litmus, RoFenceBugPolicyComparison) {
   const auto safe = run_litmus(make_fig_ro(false), TmKind::kTl2,
                                FencePolicy::kAlways, options);
   EXPECT_EQ(safe.postcondition_violations, 0u);
-  // kSkipAfterReadOnly is the buggy GCC behaviour; violations are
-  // probabilistic so the bench reports the counts — here we just confirm
-  // the harness runs it.
+  // kSkipAfterReadOnly is the buggy GCC behaviour; its violations are
+  // probabilistic, so here we just confirm the harness runs it
+  // (Explorer.FigRoUnfencedIsRacy proves the program racy).
   const auto buggy = run_litmus(make_fig_ro(false), TmKind::kTl2,
                                 FencePolicy::kSkipAfterReadOnly, options);
   EXPECT_EQ(buggy.runs, options.runs);

@@ -249,7 +249,7 @@ TEST(Stats, AggregatesAcrossThreads) {
   stats.add(1, rt::Counter::kTxAbort);
   EXPECT_EQ(stats.total(rt::Counter::kTxCommit), 7u);
   EXPECT_EQ(stats.total(rt::Counter::kTxAbort), 1u);
-  EXPECT_NE(stats.summary().find("commits=7"), std::string::npos);
+  EXPECT_NE(stats.summary().find("tx_commits=7"), std::string::npos);
   stats.reset();
   EXPECT_EQ(stats.total(rt::Counter::kTxCommit), 0u);
 }
