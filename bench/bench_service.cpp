@@ -9,9 +9,9 @@
 // the TM's counter deltas for that phase.
 //
 // Shape expectations:
-//  * async sweeps beat sync on sweep p50 at >1 bucket: the fence's grace
-//    period overlaps the previous bucket's scan instead of sitting on the
-//    critical path (PR 2's deferred-privatization pipeline);
+//  * sweeps privatize only buckets whose find phase saw an expired
+//    record, so sweep p50 tracks the expired share, not the bucket count;
+//    sync and async differ only in the engine that runs each fence;
 //  * the storm phase moves put/get p999 far more than p50 — the hot set
 //    serializes through the contention manager while the zipfian tail
 //    stays uncontended;

@@ -8,6 +8,15 @@ cd "$(dirname "$0")"
 cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j"$(nproc)"
 
+# The same gate on a Release (-O3) build of the library, the build the
+# repo benchmark measures: -O3 inlining surfaces warnings (GCC's
+# -Wrestrict inside std::string code, for one) that the tier-1 build
+# never sees.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON -DPRIVSTM_BUILD_TESTS=OFF \
+  -DPRIVSTM_BUILD_BENCH=OFF -DPRIVSTM_BUILD_EXAMPLES=OFF
+cmake --build build-release -j"$(nproc)" --target privstm
+
 # Checker-blindness gate, before anything else: the deliberately-unfenced
 # use-after-free litmus MUST be flagged racy (with the races attributed to
 # the freed block) by the explorer+DRF pipeline. Zero reported violations

@@ -85,8 +85,9 @@ int main() {
   print_phase("sync", sync_result);
   violations += sync_result.consistency_violations;
 
-  // Phase 2: deferred fences — bucket b's grace period elapses while
-  // bucket b-1 is scanned, taking the fence off the sweep's critical path.
+  // Phase 2: async-ticket fences — each privatized bucket's grace period
+  // runs on the asynchronous engine; as in phase 1, only buckets whose
+  // find phase saw an expired record are frozen and fenced.
   cfg.sweep_mode = service::SweepMode::kAsyncFence;
   const auto async_result =
       service::run_phase(*tmi, store, cfg, phase, /*seed=*/2, clock);

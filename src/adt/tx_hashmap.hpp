@@ -18,10 +18,14 @@
 // these containers are production-path code, not checker workloads.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <thread>
 #include <vector>
 
+#include "runtime/backoff.hpp"
 #include "tm/tm.hpp"
 
 namespace privstm::adt {
@@ -46,24 +50,49 @@ class TxHashMap {
   // -------------------------------------------------------------------
   // In-transaction operations: the probe loops exposed on a caller's
   // TxScope, so a service can compose an index lookup with record
-  // accesses in ONE transaction (src/service/session_store.hpp). The
-  // caller owns the freeze protocol: check frozen(tx) first and retry
-  // outside the transaction while a privatized phase holds the table
-  // (the reading of the freeze flag is what orders the operation against
-  // the phase's NT mutations). After an abort TxScope reads return 0 —
-  // the probe loop then sees "end of chain" and bails; the result is
-  // discarded by the retry wrapper either way. The one hazard is the
-  // value-slot read *after* a successful key match: if that read is the
-  // one that aborts, its 0 must not surface as a found value (callers
-  // decode map values into handles before the retry wrapper sees the
-  // abort), so every found path re-checks tx.aborted() and reports
-  // absence instead.
+  // accesses in ONE transaction (src/service/session_store.hpp). Run such
+  // a composed body through run_unfrozen, which owns the freeze protocol:
+  // it reads frozen(tx) first and waits outside the transaction while a
+  // privatized phase holds the table (the reading of the freeze flag is
+  // what orders the operation against the phase's NT mutations). After
+  // an abort TxScope reads return 0 — the probe loop then sees "end of
+  // chain" and bails; the result is discarded by the retry wrapper either
+  // way. The one hazard is the value-slot read *after* a successful key
+  // match: if that read is the one that aborts, its 0 must not surface as
+  // a found value (callers decode map values into handles before the
+  // retry wrapper sees the abort), so every found path re-checks
+  // tx.aborted() and reports absence instead.
   // -------------------------------------------------------------------
 
   /// True while a privatized phase holds the table. Reading the flag
   /// subscribes the transaction to it: a freeze committing later aborts
   /// this transaction instead of mutating under it.
   bool frozen(tm::TxScope& tx) const { return freeze_.get(tx) != 0; }
+
+  /// Run `body(tx)` in one transaction under run_tx_retry once the table
+  /// is not frozen. Each attempt reads the freeze flag first and runs the
+  /// body only when it is clear. When it is set, the wait happens outside
+  /// any transaction: poll the unfreeze epoch, read before the attempt,
+  /// until unfreeze() bumps it, then retry. So a waiter commits at most
+  /// one read-only transaction per freeze it meets instead of one per
+  /// spin. The epoch is only a wake-up hint; the in-transaction flag read
+  /// is what orders the operation against the freeze. Each wait counts
+  /// one Counter::kFrozenWait.
+  template <typename Body>
+  void run_unfrozen(tm::TmThread& session, Body&& body,
+                    const tm::TxRetryOptions& options = {}) const {
+    for (;;) {
+      const std::uint64_t epoch =
+          unfreeze_epoch_.load(std::memory_order_acquire);
+      bool is_frozen = false;
+      tm::run_tx_retry(session, [&](tm::TxScope& tx) {
+        is_frozen = frozen(tx);
+        if (!is_frozen) body(tx);
+      }, options);
+      if (!is_frozen) return;
+      wait_for_unfreeze(session, epoch);
+    }
+  }
 
   /// Insert or update inside the caller's transaction. Returns false when
   /// the table is full (probe exhausted). `replaced` (when non-null)
@@ -138,45 +167,28 @@ class TxHashMap {
 
   /// Insert or update. Returns false when the table is full (probe
   /// exhausted) — the caller must resize offline (see rebuild_privatized).
-  /// Blocks (retrying) while the table is frozen by a privatized phase.
+  /// Waits (see run_unfrozen) while the table is frozen by a privatized
+  /// phase.
   bool put(tm::TmThread& session, tm::Value key, tm::Value value) const {
     bool ok = false;
-    bool is_frozen = true;
-    while (is_frozen) {
-      tm::run_tx_retry(session, [&](tm::TxScope& tx) {
-        ok = false;
-        is_frozen = frozen(tx);
-        if (!is_frozen) ok = put_in(tx, key, value);
-      });
-    }
+    run_unfrozen(session, [&](tm::TxScope& tx) {
+      ok = put_in(tx, key, value);
+    });
     return ok;
   }
 
   std::optional<tm::Value> get(tm::TmThread& session, tm::Value key) const {
     std::optional<tm::Value> result;
-    bool is_frozen = true;
-    while (is_frozen) {
-      tm::run_tx_retry(session, [&](tm::TxScope& tx) {
-        result.reset();
-        is_frozen = frozen(tx);
-        // While frozen, rebuild_privatized mutates slots with NT writes.
-        if (!is_frozen) result = get_in(tx, key);
-      });
-    }
+    run_unfrozen(session,
+                 [&](tm::TxScope& tx) { result = get_in(tx, key); });
     return result;
   }
 
   /// Remove the key; true if it was present.
   bool erase(tm::TmThread& session, tm::Value key) const {
     bool found = false;
-    bool is_frozen = true;
-    while (is_frozen) {
-      tm::run_tx_retry(session, [&](tm::TxScope& tx) {
-        found = false;
-        is_frozen = frozen(tx);
-        if (!is_frozen) found = erase_in(tx, key);
-      });
-    }
+    run_unfrozen(session,
+                 [&](tm::TxScope& tx) { found = erase_in(tx, key); });
     return found;
   }
 
@@ -241,6 +253,7 @@ class TxHashMap {
     handle_ = grown;
     capacity_ = new_capacity;
     freeze_ = tm::TxVar<tm::Value>(grown, 0);  // vinit = unfrozen: published
+    unfreeze_epoch_.fetch_add(1, std::memory_order_release);
     tm_->tm_free(old);  // fence-then-free: reuse is safe by construction
   }
 
@@ -287,33 +300,27 @@ class TxHashMap {
   // -------------------------------------------------------------------
   // Privatized-phase bracket. for_each_privatized/rebuild_privatized use
   // it internally with a synchronous fence; services that need a
-  // different quiescence discipline (the expiry sweep's deferred
-  // async-ticket pipeline, src/service/session_store.cpp) take the
-  // bracket directly: freeze → fence of the caller's choosing → NT scan
-  // and mutation of the slots — tombstoning included — → unfreeze
-  // (republish). Every transactional operation reads the freeze flag
-  // first, so operations either committed before the freeze (the fence
-  // then orders their — possibly delayed — write-backs before the NT
-  // accesses) or observe the flag and wait.
+  // different quiescence discipline (the expiry sweep's async-ticket
+  // fence, src/service/session_store.cpp) take the bracket directly:
+  // freeze → fence of the caller's choosing → NT scan and mutation of the
+  // slots — tombstoning included — → unfreeze (republish). Every
+  // transactional operation reads the freeze flag first, so operations
+  // either committed before the freeze (the fence then orders their —
+  // possibly delayed — write-backs before the NT accesses) or observe the
+  // flag and wait (run_unfrozen).
   // -------------------------------------------------------------------
 
-  /// Acquire the freeze flag (spinning over other privatized phases).
-  /// `token` must be a fresh nonzero value per call.
+  /// Acquire the freeze flag, waiting out another privatized phase that
+  /// holds it. `token` must be a fresh nonzero value per call.
   void freeze(tm::TmThread& session, tm::Value token) const {
-    for (;;) {
-      bool acquired = false;
-      tm::run_tx_retry(session, [&](tm::TxScope& tx) {
-        acquired = freeze_.get(tx) == 0;
-        if (acquired) freeze_.set(tx, token);
-      });
-      if (acquired) return;
-    }
+    run_unfrozen(session, [&](tm::TxScope& tx) { freeze_.set(tx, token); });
   }
 
-  /// Republish after a privatized phase.
+  /// Republish after a privatized phase, then wake the waiters.
   void unfreeze(tm::TmThread& session) const {
     tm::run_tx_retry(session,
                      [&](tm::TxScope& tx) { freeze_.set(tx, 0); });
+    unfreeze_epoch_.fetch_add(1, std::memory_order_release);
   }
 
  private:
@@ -330,10 +337,32 @@ class TxHashMap {
     return index_in(key, probe, capacity_);
   }
 
+  /// Poll the unfreeze epoch until it moves past `epoch`: cpu_relax
+  /// polls first (a sweep holds a bucket for microseconds, so a doubling
+  /// backoff would overshoot the window), then a yield per poll once the
+  /// freeze has outlasted kSpinPolls.
+  void wait_for_unfreeze(tm::TmThread& session, std::uint64_t epoch) const {
+    constexpr std::uint32_t kSpinPolls = 1024;
+    tm_->stats().add(session.stat_slot(), rt::Counter::kFrozenWait);
+    for (std::uint32_t polls = 0;
+         unfreeze_epoch_.load(std::memory_order_acquire) == epoch;) {
+      if (polls < kSpinPolls) {
+        ++polls;
+        rt::cpu_relax();
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  }
+
   tm::TransactionalMemory* tm_;
   tm::TxHandle handle_;
   tm::TxVar<tm::Value> freeze_;
   std::size_t capacity_;
+  /// Bumped after every republication. A plain atomic outside the TM
+  /// heap, like the registry's activity words: waiters poll it without
+  /// running transactions.
+  mutable std::atomic<std::uint64_t> unfreeze_epoch_{0};
 };
 
 }  // namespace privstm::adt

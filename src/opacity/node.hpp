@@ -47,8 +47,10 @@ class NodeTable {
   bool is_txn(std::size_t id) const noexcept { return id < txn_count_; }
 
   std::string name(std::size_t id) const {
-    if (is_txn(id)) return "T" + std::to_string(id);
-    return "nt" + std::to_string(id - txn_count_);
+    const bool txn = is_txn(id);
+    std::string out = txn ? "T" : "nt";
+    out += std::to_string(txn ? id : id - txn_count_);
+    return out;
   }
 
   /// Node of an action (by owner), or npos for fence / unowned actions.

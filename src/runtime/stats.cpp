@@ -52,6 +52,8 @@ const char* counter_name(Counter c) noexcept {
       return "governor_epochs";
     case Counter::kGovernorPolicyShift:
       return "governor_policy_shifts";
+    case Counter::kFrozenWait:
+      return "frozen_waits";
     case Counter::kCount:
       break;
   }

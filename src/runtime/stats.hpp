@@ -62,6 +62,9 @@ enum class Counter : std::size_t {
   kGovernorPolicyShift,  ///< governor epochs whose decision *changed* the
                          ///< live CmPolicy tier (adopted after hysteresis,
                          ///< not merely proposed)
+  kFrozenWait,          ///< operations that met a frozen TxHashMap and
+                        ///< waited outside any transaction for its
+                        ///< unfreeze (TxHashMap::run_unfrozen)
   kCount,
 };
 

@@ -9,18 +9,20 @@
 //
 // Op protocol: every public operation composes the index probe with the
 // record access in ONE transaction (TxHashMap's *_in API on the caller's
-// TxScope) under run_tx_retry — so the PR 6 contention manager sees the
+// TxScope) under run_tx_retry — so the contention manager sees the
 // service's true conflict pattern — and checks the bucket's freeze flag
-// first, waiting out privatized maintenance phases.
+// first, waiting out privatized maintenance phases outside any
+// transaction (TxHashMap::run_unfrozen).
 //
 // The expiry sweep is the paper's privatization idiom as a first-class
-// service operation: per bucket, freeze (agreement) → transactional
-// fence (sync, or deferred via async tickets pipelined across buckets) →
-// scan and reclaim expired records with uninstrumented accesses →
-// republish. The fence is what makes the NT expiry reads, tombstone
-// writes and frees safe against delayed commits (Fig 1a) — the
-// deliberately-unfenced mode exists so tests can show the DRF checker
-// flagging exactly that race.
+// service operation, applied only where it has work: per bucket, a find
+// phase of short read-only transactions picks the expired slots; only a
+// bucket with at least one is privatized — freeze (agreement) →
+// transactional fence (sync, or an async ticket) → NT re-check and
+// reclaim of those slots → republish. The fence is what makes the NT
+// expiry reads, tombstone writes and frees safe against delayed commits
+// (Fig 1a) — the deliberately-unfenced mode exists so tests can show the
+// DRF checker flagging exactly that race.
 #pragma once
 
 #include <atomic>
@@ -36,15 +38,16 @@
 namespace privstm::service {
 
 /// How sweep_expired quiesces in-flight transactions after freezing a
-/// bucket and before touching its records non-transactionally.
+/// bucket and before touching its records non-transactionally. Only
+/// buckets whose find phase found an expired record are fenced.
 enum class SweepMode : std::uint8_t {
-  kSyncFence,   ///< fence() per bucket — simple, full fence on the path
-  kAsyncFence,  ///< fence_async() tickets, pipelined: bucket b's grace
-                ///< period elapses while bucket b-1 is scanned (PR 2's
-                ///< deferred-privatization idiom)
+  kSyncFence,   ///< fence() per privatized bucket
+  kAsyncFence,  ///< fence_async() ticket per privatized bucket, waited on
+                ///< at once: the grace period runs on the asynchronous
+                ///< engine instead of a synchronous registry scan
   kUnfencedUnsafe,  ///< TEST-ONLY: skip the fence. Deliberately unsound —
-                    ///< the NT scan races with delayed commits; used to
-                    ///< demonstrate the race machinery catches it.
+                    ///< the NT re-check races with delayed commits; used
+                    ///< to demonstrate the race machinery catches it.
 };
 
 const char* sweep_mode_name(SweepMode mode) noexcept;
@@ -122,15 +125,21 @@ class SessionStore {
   struct SweepStats {
     std::uint64_t scanned = 0;  ///< live records examined
     std::uint64_t retired = 0;  ///< expired records reclaimed
-    std::uint64_t buckets = 0;  ///< buckets swept
+    std::uint64_t buckets = 0;  ///< buckets visited (all of them)
   };
 
-  /// Sweep the whole store, reclaiming records with expiry <= now: per
-  /// bucket freeze → fence (per `mode`) → NT scan (tombstone + tm_free
-  /// expired) → republish. Safe under full live traffic — operations on
-  /// the frozen bucket wait, the rest of the store keeps serving. When
-  /// `per_bucket_ns` is non-null each bucket's freeze-to-republish wall
-  /// time is recorded into it (the sweep op-class histogram).
+  /// Sweep the whole store, reclaiming records expired at the find phase
+  /// and still expired at the privatized re-check (expiry <= now both
+  /// times). Per bucket: find (short read-only transactions collect the
+  /// slots whose record has expiry <= now) → only if one was found,
+  /// freeze → fence (per `mode`) → NT re-check of those slots (tombstone
+  /// + tm_free what is still expired) → republish. A bucket that another
+  /// privatizer holds frozen during the find falls back to a full
+  /// privatized scan. Safe under full live traffic — operations on the
+  /// frozen bucket wait, the rest of the store keeps serving. When
+  /// `per_bucket_ns` is non-null each visited bucket's wall time, find
+  /// through republish, is recorded into it (the sweep op-class
+  /// histogram).
   SweepStats sweep_expired(tm::TmThread& session, std::uint64_t now,
                            SweepMode mode,
                            rt::LatencyHistogram* per_bucket_ns = nullptr);
@@ -163,9 +172,22 @@ class SessionStore {
            token_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// NT scan of one frozen, fenced bucket.
-  void scan_bucket(tm::TmThread& session, std::size_t bucket,
-                   std::uint64_t now, SweepStats& stats);
+  /// Find phase: read-only transactions of kFindChunkSlots slots each
+  /// (a constexpr in session_store.cpp) collect into `expired` the slots
+  /// whose record has expiry <= now and count the live records into
+  /// `live`. False when another privatizer holds the bucket frozen (the
+  /// results are then meaningless).
+  bool find_expired(tm::TmThread& session, std::size_t bucket,
+                    std::uint64_t now, std::vector<std::size_t>& expired,
+                    std::uint64_t& live) const;
+
+  /// NT re-check of `slots` in one frozen, fenced bucket: re-read key,
+  /// value and expiry, tombstone + tm_free what is expired now. Counts
+  /// the live slots into stats.scanned when `count_live`.
+  void reclaim_privatized(tm::TmThread& session, std::size_t bucket,
+                          const std::vector<std::size_t>& slots,
+                          std::uint64_t now, bool count_live,
+                          SweepStats& stats);
 
   tm::TransactionalMemory* tm_;
   std::vector<std::unique_ptr<adt::TxHashMap>> buckets_;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <optional>
 #include <set>
 #include <thread>
@@ -342,6 +343,40 @@ TEST_P(AdtOnTm, HashMapPrivatizedIterationConsistentSnapshot) {
   }
   stop.store(true);
   writer.join();
+}
+
+TEST_P(AdtOnTm, HashMapFrozenWaiterCommitsBounded) {
+  // An operation that meets a frozen table must wait for the unfreeze
+  // outside any transaction: one read-only commit that sees the freeze,
+  // one counted wait, one commit after the republication — however long
+  // the freeze is held. A spin of read-only transactions would commit
+  // thousands of times over the 5 ms hold below.
+  auto tmi = make();
+  TxHashMap map(*tmi, 16);
+  auto session = tmi->make_thread(0, nullptr);
+  ASSERT_TRUE(map.put(*session, 5, 50));
+  map.freeze(*session, (tm::Value{9} << 32) | 1);
+  const rt::StatsDomain& stats = tmi->stats();
+  const std::uint64_t commits_before = stats.total(rt::Counter::kTxCommit);
+
+  std::optional<tm::Value> got;
+  std::thread waiter([&] {
+    auto reader = tmi->make_thread(1, nullptr);
+    got = map.get(*reader, 5);
+  });
+  // Hold the freeze for 5 ms once the waiter is known to be waiting.
+  while (stats.total(rt::Counter::kFrozenWait) == 0) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  map.unfreeze(*session);
+  waiter.join();
+
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, 50u);
+  EXPECT_EQ(stats.total(rt::Counter::kFrozenWait), 1u);
+  // The waiter's frozen read, the unfreeze, the waiter's real get.
+  EXPECT_LE(stats.total(rt::Counter::kTxCommit) - commits_before, 3u);
 }
 
 TEST_P(AdtOnTm, HashMapAbortedValueReadNeverSurfacesAsFound) {

@@ -18,14 +18,18 @@
 //    must flag the unfenced sweep and clear the fenced one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "drf/race.hpp"
 #include "history/wellformed.hpp"
 #include "lang/explorer.hpp"
 #include "lang/interp.hpp"
 #include "lang/litmus.hpp"
+#include "runtime/barrier.hpp"
 #include "service/workload.hpp"
 #include "tm/factory.hpp"
 
@@ -150,6 +154,93 @@ TEST_P(ServiceStore, SweepReclaimsExpiredOnly) {
     }
     // A second sweep finds nothing left to retire.
     EXPECT_EQ(store.sweep_expired(*session, 500, mode).retired, 0u);
+  }
+}
+
+TEST_P(ServiceStore, SweepPrivatizesOnlyBucketsWithExpiredRecords) {
+  // The find phase decides which buckets the sweep privatizes: each
+  // bucket holding an expired record costs exactly one fence, a bucket
+  // holding only live records costs none.
+  for (const service::SweepMode mode : {service::SweepMode::kSyncFence,
+                                        service::SweepMode::kAsyncFence}) {
+    SCOPED_TRACE(service::sweep_mode_name(mode));
+    auto tmi = make();
+    service::SessionStore store(*tmi,
+                                {.buckets = 4, .bucket_capacity = 64});
+    ASSERT_EQ(store.bucket_count(), 4u);
+    auto session = tmi->make_thread(0, nullptr);
+    // 48 sessions. Those in buckets 0 and 2 alternate between expiring
+    // at 100 and at 1000; those in buckets 1 and 3 all expire at 1000.
+    std::vector<bool> has_expired(store.bucket_count(), false);
+    std::uint64_t expired = 0;
+    std::uint64_t flip = 0;
+    for (tm::Value key = 1; key <= 48; ++key) {
+      const std::size_t b = store.bucket_of(key);
+      const bool expires = b % 2 == 0 && flip++ % 2 == 0;
+      if (expires) {
+        has_expired[b] = true;
+        ++expired;
+      }
+      ASSERT_EQ(store.put(*session, key, expires ? 100 : 1000, 4, key),
+                service::SessionStore::PutStatus::kOk);
+    }
+    const auto buckets_with_expired = static_cast<std::uint64_t>(
+        std::count(has_expired.begin(), has_expired.end(), true));
+    ASSERT_GE(buckets_with_expired, 1u);
+    ASSERT_LT(buckets_with_expired, store.bucket_count());
+
+    const rt::StatsDomain& counters = tmi->stats();
+    const std::uint64_t fences = counters.total(rt::Counter::kFence);
+    const auto stats = store.sweep_expired(*session, /*now=*/500, mode);
+    EXPECT_EQ(counters.total(rt::Counter::kFence) - fences,
+              buckets_with_expired);
+    EXPECT_EQ(stats.buckets, store.bucket_count());
+    EXPECT_EQ(stats.scanned, 48u);
+    EXPECT_EQ(stats.retired, expired);
+
+    // Nothing left to find: no bucket is privatized.
+    const std::uint64_t fences_again = counters.total(rt::Counter::kFence);
+    const auto again = store.sweep_expired(*session, 500, mode);
+    EXPECT_EQ(counters.total(rt::Counter::kFence) - fences_again, 0u);
+    EXPECT_EQ(again.buckets, store.bucket_count());
+    EXPECT_EQ(again.scanned, 48u - expired);
+    EXPECT_EQ(again.retired, 0u);
+  }
+}
+
+TEST_P(ServiceStore, ConcurrentSweepersRetireEachRecordOnce) {
+  // Two sweepers race over the same buckets: one's find phase meets
+  // buckets the other holds frozen and falls back to the full privatized
+  // scan. Whichever sweeper reaches a record first retires it; the other
+  // must neither free it again nor miss one (ASan and TSan run this).
+  constexpr tm::Value kKeys = 96;
+  for (const service::SweepMode mode : {service::SweepMode::kSyncFence,
+                                        service::SweepMode::kAsyncFence}) {
+    SCOPED_TRACE(service::sweep_mode_name(mode));
+    auto tmi = make();
+    service::SessionStore store(*tmi,
+                                {.buckets = 4, .bucket_capacity = 64});
+    auto session = tmi->make_thread(0, nullptr);
+    for (int round = 0; round < 10; ++round) {
+      for (tm::Value key = 1; key <= kKeys; ++key) {
+        ASSERT_EQ(store.put(*session, key, /*expiry=*/100, 4, key),
+                  service::SessionStore::PutStatus::kOk);
+      }
+      rt::SpinBarrier start(2);
+      std::uint64_t retired[2] = {0, 0};
+      std::thread rival([&] {
+        auto sweeper = tmi->make_thread(1, nullptr);
+        start.arrive_and_wait();
+        retired[1] = store.sweep_expired(*sweeper, 500, mode).retired;
+      });
+      start.arrive_and_wait();
+      retired[0] = store.sweep_expired(*session, 500, mode).retired;
+      rival.join();
+      EXPECT_EQ(retired[0] + retired[1], kKeys);
+      for (tm::Value key = 1; key <= kKeys; ++key) {
+        EXPECT_FALSE(store.get(*session, key, 0).hit);
+      }
+    }
   }
 }
 
