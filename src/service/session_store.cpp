@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
-#include <numeric>
 
 namespace privstm::service {
 namespace {
@@ -149,7 +148,7 @@ bool SessionStore::erase(tm::TmThread& session, tm::Value key) {
   return found;
 }
 
-bool SessionStore::find_expired(tm::TmThread& session, std::size_t bucket,
+void SessionStore::find_expired(tm::TmThread& session, std::size_t bucket,
                                 std::uint64_t now,
                                 std::vector<std::size_t>& expired,
                                 std::uint64_t& live) const {
@@ -160,12 +159,9 @@ bool SessionStore::find_expired(tm::TmThread& session, std::size_t bucket,
     const std::size_t hi = std::min(lo + kFindChunkSlots, map.capacity());
     const std::size_t mark = expired.size();
     std::uint64_t chunk_live = 0;
-    bool frozen = false;
-    tm::run_tx_retry(session, [&](tm::TxScope& tx) {
+    map.run_unfrozen(session, [&](tm::TxScope& tx) {
       expired.resize(mark);
       chunk_live = 0;
-      frozen = map.frozen(tx);
-      if (frozen) return;
       for (std::size_t slot = lo; slot < hi; ++slot) {
         const tm::Value k = tx.read(map.key_loc(slot));
         if (k == 0 || k == adt::TxHashMap::kTombstone) continue;
@@ -177,22 +173,18 @@ bool SessionStore::find_expired(tm::TmThread& session, std::size_t bucket,
         if (expiry <= now) expired.push_back(slot);
       }
     });
-    if (frozen) return false;
     live += chunk_live;
   }
-  return true;
 }
 
 void SessionStore::reclaim_privatized(tm::TmThread& session,
                                       std::size_t bucket,
                                       const std::vector<std::size_t>& slots,
-                                      std::uint64_t now, bool count_live,
-                                      SweepStats& stats) {
+                                      std::uint64_t now, SweepStats& stats) {
   const adt::TxHashMap& map = *buckets_[bucket];
   for (const std::size_t slot : slots) {
     const tm::Value k = session.nt_read(map.key_loc(slot));
     if (k == 0 || k == adt::TxHashMap::kTombstone) continue;
-    if (count_live) ++stats.scanned;
     const tm::TxHandle record =
         decode(session.nt_read(map.value_loc(slot)));
     const auto expiry =
@@ -225,17 +217,11 @@ SessionStore::SweepStats SessionStore::sweep_expired(
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     const std::uint64_t start = now_ns();
     // Find: short read-only transactions pick the expired slots, so a
-    // bucket with none is never frozen or fenced. A bucket frozen by
-    // another privatizer leaves the find phase blind: wait for that
-    // freeze and re-check every slot instead.
+    // bucket with none is never frozen or fenced. A chunk that meets a
+    // bucket frozen by another privatizer waits it out (run_unfrozen).
     std::uint64_t live = 0;
-    const bool found = find_expired(session, b, now, slots, live);
-    if (found) {
-      stats.scanned += live;
-    } else {
-      slots.resize(buckets_[b]->capacity());
-      std::iota(slots.begin(), slots.end(), std::size_t{0});
-    }
+    find_expired(session, b, now, slots, live);
+    stats.scanned += live;
     if (!slots.empty()) {
       // Privatize: freeze → fence → NT re-check and reclaim → republish.
       // The sweep holds one bucket frozen at a time, and only for that
@@ -263,8 +249,7 @@ SessionStore::SweepStats SessionStore::sweep_expired(
           break;
       }
       emit(rt::TraceEventKind::kSweepReclaimBegin, b);
-      reclaim_privatized(session, b, slots, now, /*count_live=*/!found,
-                         stats);
+      reclaim_privatized(session, b, slots, now, stats);
       emit(rt::TraceEventKind::kSweepReclaimEnd, b);
       emit(rt::TraceEventKind::kSweepRepublishBegin, b);
       buckets_[b]->unfreeze(session);

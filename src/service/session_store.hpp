@@ -133,9 +133,9 @@ class SessionStore {
   /// times). Per bucket: find (short read-only transactions collect the
   /// slots whose record has expiry <= now) → only if one was found,
   /// freeze → fence (per `mode`) → NT re-check of those slots (tombstone
-  /// + tm_free what is still expired) → republish. A bucket that another
-  /// privatizer holds frozen during the find falls back to a full
-  /// privatized scan. Safe under full live traffic — operations on the
+  /// + tm_free what is still expired) → republish. A find chunk that
+  /// meets a bucket frozen by another privatizer waits for its unfreeze
+  /// and then reads it. Safe under full live traffic — operations on the
   /// frozen bucket wait, the rest of the store keeps serving. When
   /// `per_bucket_ns` is non-null each visited bucket's wall time, find
   /// through republish, is recorded into it (the sweep op-class
@@ -173,21 +173,18 @@ class SessionStore {
   }
 
   /// Find phase: read-only transactions of kFindChunkSlots slots each
-  /// (a constexpr in session_store.cpp) collect into `expired` the slots
-  /// whose record has expiry <= now and count the live records into
-  /// `live`. False when another privatizer holds the bucket frozen (the
-  /// results are then meaningless).
-  bool find_expired(tm::TmThread& session, std::size_t bucket,
+  /// (a constexpr in session_store.cpp), run through run_unfrozen,
+  /// collect into `expired` the slots whose record has expiry <= now and
+  /// count the live records into `live`.
+  void find_expired(tm::TmThread& session, std::size_t bucket,
                     std::uint64_t now, std::vector<std::size_t>& expired,
                     std::uint64_t& live) const;
 
   /// NT re-check of `slots` in one frozen, fenced bucket: re-read key,
-  /// value and expiry, tombstone + tm_free what is expired now. Counts
-  /// the live slots into stats.scanned when `count_live`.
+  /// value and expiry, tombstone + tm_free what is expired now.
   void reclaim_privatized(tm::TmThread& session, std::size_t bucket,
                           const std::vector<std::size_t>& slots,
-                          std::uint64_t now, bool count_live,
-                          SweepStats& stats);
+                          std::uint64_t now, SweepStats& stats);
 
   tm::TransactionalMemory* tm_;
   std::vector<std::unique_ptr<adt::TxHashMap>> buckets_;

@@ -210,9 +210,10 @@ TEST_P(ServiceStore, SweepPrivatizesOnlyBucketsWithExpiredRecords) {
 
 TEST_P(ServiceStore, ConcurrentSweepersRetireEachRecordOnce) {
   // Two sweepers race over the same buckets: one's find phase meets
-  // buckets the other holds frozen and falls back to the full privatized
-  // scan. Whichever sweeper reaches a record first retires it; the other
-  // must neither free it again nor miss one (ASan and TSan run this).
+  // buckets the other holds frozen and waits them out, and both may pick
+  // the same slot. Whichever sweeper re-checks a record first retires it;
+  // the other finds the tombstone and must neither free it again nor
+  // miss one (ASan and TSan run this).
   constexpr tm::Value kKeys = 96;
   for (const service::SweepMode mode : {service::SweepMode::kSyncFence,
                                         service::SweepMode::kAsyncFence}) {
