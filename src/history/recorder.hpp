@@ -56,6 +56,10 @@ struct RecordedExecution {
 class Recorder {
  public:
   static constexpr std::size_t kMaxThreads = 64;
+  /// Per-handle buffer capacity reserved by for_thread(): room for a few
+  /// thousand actions per thread, past which the buffers grow as usual.
+  static constexpr std::size_t kReservedEvents = 4096;
+  static constexpr std::size_t kReservedPublishes = 1024;
 
   Recorder() = default;
   Recorder(const Recorder&) = delete;
@@ -138,6 +142,11 @@ class Recorder {
     if (slot >= kMaxThreads) {
       return Handle{};  // out of slots: degrade to non-recording
     }
+    // Size the buffers here, before the thread runs: growing them by
+    // doubling inside a logged TM call copies the whole log and lands
+    // its cost on that call.
+    threads_[slot]->events.reserve(kReservedEvents);
+    threads_[slot]->publishes.reserve(kReservedPublishes);
     return Handle{this, slot, thread};
   }
 
