@@ -54,6 +54,8 @@ const char* counter_name(Counter c) noexcept {
       return "governor_policy_shifts";
     case Counter::kFrozenWait:
       return "frozen_waits";
+    case Counter::kAllocCapWait:
+      return "alloc_cap_waits";
     case Counter::kCount:
       break;
   }

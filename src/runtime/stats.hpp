@@ -65,6 +65,9 @@ enum class Counter : std::size_t {
   kFrozenWait,          ///< operations that met a frozen TxHashMap and
                         ///< waited outside any transaction for its
                         ///< unfreeze (TxHashMap::run_unfrozen)
+  kAllocCapWait,        ///< allocations that found the arena at its cap
+                        ///< and waited out a limbo batch's grace period
+                        ///< instead of aborting (alloc::TxAllocator)
   kCount,
 };
 

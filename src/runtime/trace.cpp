@@ -52,7 +52,10 @@ const char* trace_event_name(TraceEventKind k) noexcept {
       return "alloc_steal";
     case TraceEventKind::kAllocCompaction:
       return "alloc_compaction";
-    case TraceEventKind::kLimboRetire:
+    case TraceEventKind::kAllocCapWait:
+      return "alloc_cap_wait";
+    case TraceEventKind::kLimboRetireBegin:
+    case TraceEventKind::kLimboRetireEnd:
       return "limbo_retire";
     case TraceEventKind::kSweepFreezeBegin:
     case TraceEventKind::kSweepFreezeEnd:
@@ -83,6 +86,7 @@ TracePhase trace_event_phase(TraceEventKind k) noexcept {
     case TraceEventKind::kGraceScanBegin:
     case TraceEventKind::kCmBackoffBegin:
     case TraceEventKind::kEscalateBegin:
+    case TraceEventKind::kLimboRetireBegin:
     case TraceEventKind::kSweepFreezeBegin:
     case TraceEventKind::kSweepFenceBegin:
     case TraceEventKind::kSweepReclaimBegin:
@@ -94,6 +98,7 @@ TracePhase trace_event_phase(TraceEventKind k) noexcept {
     case TraceEventKind::kGraceScanEnd:
     case TraceEventKind::kCmBackoffEnd:
     case TraceEventKind::kEscalateEnd:
+    case TraceEventKind::kLimboRetireEnd:
     case TraceEventKind::kSweepFreezeEnd:
     case TraceEventKind::kSweepFenceEnd:
     case TraceEventKind::kSweepReclaimEnd:

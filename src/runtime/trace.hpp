@@ -22,11 +22,15 @@
 //     (stripe / bucket / spin count), and a 64-bit argument.
 //
 // Producer discipline: slots 0..kMaxSessionSlots-1 are written only by the
-// thread owning that registry slot (the SPSC contract). kSharedSlot is a
-// multi-producer ring for events emitted from centrally-locked contexts
-// (grace-period scans, allocator compaction/refill/steal, limbo retirement);
-// emit_shared() serializes those producers behind a spinlock — all of them
-// are already slow-path, lock-holding call sites.
+// thread owning that registry slot (the SPSC contract). kSharedSlot and
+// kAllocSlot are multi-producer rings for events emitted from
+// centrally-locked contexts — grace-period scans on the first (emit_shared),
+// allocator refill/steal/compaction/cap waits and limbo retirement on the
+// second (emit_alloc). Both serialize their producers behind one spinlock —
+// all of them are already slow-path, lock-holding call sites. Keeping the
+// two apart keeps each ring's spans properly nested: scans run one at a
+// time, retire passes one at a time (allocator central lock), but a
+// retire pass and a scan may overlap.
 #pragma once
 
 #include <atomic>
@@ -78,7 +82,10 @@ enum class TraceEventKind : std::uint8_t {
   kAllocRefill,          ///< shard refill from central extent map (a32 = shard)
   kAllocSteal,           ///< sibling-shard steal (a32 = victim, a64 = blocks)
   kAllocCompaction,      ///< bounded incremental spill step
-  kLimboRetire,          ///< one limbo batch retired (a64 = blocks)
+  kAllocCapWait,         ///< alloc at the arena cap waits out a limbo batch
+                         ///< (a32 = cells requested, a64 = limbo blocks)
+  kLimboRetireBegin,     ///< one limbo retire pass (central lock held)
+  kLimboRetireEnd,       ///< a32 = batches retired, a64 = blocks
   kSweepFreezeBegin,     ///< SessionStore sweep phases (a32 = bucket)
   kSweepFreezeEnd,
   kSweepFenceBegin,
@@ -135,9 +142,11 @@ struct StripeHeat {
 class TraceDomain {
  public:
   static constexpr std::size_t kMaxSessionSlots = 64;  // = registry capacity
-  /// Extra ring for centrally-locked producers (scans, allocator, limbo).
+  /// Extra ring for grace-period scans (centrally driven, any thread).
   static constexpr std::size_t kSharedSlot = kMaxSessionSlots;
-  static constexpr std::size_t kSlots = kMaxSessionSlots + 1;
+  /// Extra ring for the allocator's shared-store and limbo events.
+  static constexpr std::size_t kAllocSlot = kMaxSessionSlots + 1;
+  static constexpr std::size_t kSlots = kMaxSessionSlots + 2;
 
   /// `default_heat_stripes` sizes the conflict map when the config leaves
   /// heat_stripes at 0 (the TM passes its stripe count).
@@ -186,11 +195,14 @@ class TraceDomain {
   /// still need mutual exclusion with each other.
   void emit_shared(TraceEventKind kind, std::uint8_t a8 = 0,
                    std::uint32_t a32 = 0, std::uint64_t a64 = 0) noexcept {
-    if (!enabled_) return;
-    while (shared_lock_.exchange(true, std::memory_order_acquire)) {
-    }
-    emit(kSharedSlot, kind, a8, a32, a64);
-    shared_lock_.store(false, std::memory_order_release);
+    emit_locked(kSharedSlot, kind, a8, a32, a64);
+  }
+
+  /// emit_shared() onto kAllocSlot: allocator events fire under shard or
+  /// central locks on behalf of whichever thread took the slow path.
+  void emit_alloc(TraceEventKind kind, std::uint8_t a8 = 0,
+                  std::uint32_t a32 = 0, std::uint64_t a64 = 0) noexcept {
+    emit_locked(kAllocSlot, kind, a8, a32, a64);
   }
 
   /// Count an abort against `stripe` in the conflict heat map. Relaxed
@@ -227,6 +239,15 @@ class TraceDomain {
   void reset() noexcept;
 
  private:
+  void emit_locked(std::size_t slot, TraceEventKind kind, std::uint8_t a8,
+                   std::uint32_t a32, std::uint64_t a64) noexcept {
+    if (!enabled_) return;
+    while (shared_lock_.exchange(true, std::memory_order_acquire)) {
+    }
+    emit(slot, kind, a8, a32, a64);
+    shared_lock_.store(false, std::memory_order_release);
+  }
+
   struct Ring {
     alignas(kCacheLine) std::atomic<std::uint64_t> head{0};
     alignas(kCacheLine) std::atomic<std::uint64_t> tail{0};

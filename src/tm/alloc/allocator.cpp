@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 namespace privstm::tm::alloc {
 
@@ -28,6 +29,11 @@ Rounded round_request(std::size_t n, std::uint32_t max_class) noexcept {
 }
 
 constexpr std::size_t kUnsetShard = static_cast<std::size_t>(-1);
+
+// Bump-pointer cells skip the alloc-time scrub: the arena is zero-filled
+// (fresh mapping, reset() memsets what was touched) and never written
+// past the bump pointer.
+static_assert(hist::kVInit == 0, "bump-fresh cells must read as vinit");
 
 /// Process-wide home-shard ordinals: each thread draws one on first use
 /// and keeps it for life, so its home is stable across allocator
@@ -103,11 +109,14 @@ TxHandle TxAllocator::alloc(std::size_t n) {
         mag.pop_back();
         CacheCounters::bump(cache->counters_.allocs);
         CacheCounters::bump(cache->counters_.magazine_hits);
+        scrub(base, n);
         return TxHandle{base, static_cast<std::uint32_t>(n)};
       }
     }
   }
-  const RegId base = alloc_slow(cache, r.cls, r.storage);
+  bool fresh = false;
+  const RegId base = alloc_slow(cache, r.cls, r.storage, fresh);
+  if (!fresh) scrub(base, n);
   if (cache != nullptr) {
     CacheCounters::bump(cache->counters_.allocs);
   } else {
@@ -131,8 +140,8 @@ std::size_t TxAllocator::take_from_shards(std::size_t home,
       // per-slot single-writer discipline StatsDomain requires.
       qm_.count(home, rt::Counter::kAllocSharedRefill);
       if (trace_ != nullptr) {
-        trace_->emit_shared(rt::TraceEventKind::kAllocRefill, 0,
-                            static_cast<std::uint32_t>(home));
+        trace_->emit_alloc(rt::TraceEventKind::kAllocRefill, 0,
+                           static_cast<std::uint32_t>(home));
       }
     }
     while (got < want) {
@@ -177,8 +186,8 @@ std::size_t TxAllocator::take_from_shards(std::size_t home,
       s.steals += stolen;
       qm_.count(victim, rt::Counter::kAllocShardSteal, stolen);
       if (trace_ != nullptr) {
-        trace_->emit_shared(rt::TraceEventKind::kAllocSteal, 0,
-                            static_cast<std::uint32_t>(victim), stolen);
+        trace_->emit_alloc(rt::TraceEventKind::kAllocSteal, 0,
+                           static_cast<std::uint32_t>(victim), stolen);
       }
     }
     publish_mirrors(s);
@@ -186,8 +195,18 @@ std::size_t TxAllocator::take_from_shards(std::size_t home,
   return got;
 }
 
+void TxAllocator::scrub(RegId base, std::size_t n) noexcept {
+  // The block's last owner may have left anything here; the caller is
+  // about to write these lines anyway (SessionStore::put fills every
+  // cell), so the stores land in cache the fill then hits.
+  std::atomic<Value>* const c = cells_ + static_cast<std::size_t>(base);
+  for (std::size_t i = 0; i < n; ++i) {
+    c[i].store(hist::kVInit, std::memory_order_relaxed);
+  }
+}
+
 RegId TxAllocator::alloc_slow(ThreadCache* cache, std::size_t cls,
-                              std::uint32_t storage) {
+                              std::uint32_t storage, bool& fresh) {
   refills_.fetch_add(1, std::memory_order_relaxed);
   const bool binned = cls != kHugeClass;
   std::vector<RegId>* mag =
@@ -213,55 +232,78 @@ RegId TxAllocator::alloc_slow(ThreadCache* cache, std::size_t cls,
     std::lock_guard<rt::SpinLock> g(h.lock);
     qm_.count(home, rt::Counter::kAllocSharedRefill);
     if (trace_ != nullptr) {
-      trace_->emit_shared(rt::TraceEventKind::kAllocRefill, 0,
-                          static_cast<std::uint32_t>(home));
+      trace_->emit_alloc(rt::TraceEventKind::kAllocRefill, 0,
+                         static_cast<std::uint32_t>(home));
     }
   }
   // Tier 3: the central lock — seal + retire housekeeping, extent map,
-  // bounded compaction, bump pointer.
-  std::lock_guard<rt::SpinLock> guard(central_lock_);
-  // Injection site: a bounded delay here stretches the central-lock hold
-  // time, the allocator's cross-thread choke point of last resort.
-  if (fault_ != nullptr) {
-    fault_->maybe_delay(0, rt::FaultSite::kAllocRefill);
-  }
-  if (cache != nullptr) seal_batch_locked(*cache);
-  retire_limbo_locked();
-  if (binned) {
-    // Retired blocks just landed in the shard bins; retry the whole tier
-    // (shard locks nest under the central lock — see the lock order in
-    // the file comment).
-    got = take_from_shards(home, storage, cls, want, first, mag, false);
-    if (first != hist::kNoReg && got >= want) return first;
-  }
-  while (got < want) {
-    RegId b = extents_.take(storage);
-    if (b == hist::kNoReg && got == 0 && shard_bin_cells() >= storage) {
-      // Compaction runs only for the request itself (never the optional
-      // prefetch), only when the bins provably hold enough cells, and one
-      // bounded, counted step at a time until the take fits or the bins
-      // run dry.
-      while (compact_step_locked() != 0) {
-        b = extents_.take(storage);
-        if (b != hist::kNoReg) break;
+  // bounded compaction, bump pointer. Loops only when the arena is at
+  // its cap: then it waits out the oldest limbo batch and retries.
+  for (;;) {
+    rt::FenceTicket front = rt::kNullFenceTicket;
+    {
+      std::lock_guard<rt::SpinLock> guard(central_lock_);
+      // Injection site: a bounded delay here stretches the central-lock
+      // hold time, the allocator's cross-thread choke point of last
+      // resort.
+      if (fault_ != nullptr) {
+        fault_->maybe_delay(0, rt::FaultSite::kAllocRefill);
+      }
+      if (cache != nullptr) seal_batch_locked(*cache);
+      retire_limbo_locked();
+      if (binned) {
+        // Retired blocks just landed in the shard bins; retry the whole
+        // tier (shard locks nest under the central lock — see the lock
+        // order in the file comment).
+        got = take_from_shards(home, storage, cls, want, first, mag, false);
+        if (first != hist::kNoReg && got >= want) return first;
+      }
+      bool capped = false;
+      while (got < want) {
+        RegId b = extents_.take(storage);
+        if (b == hist::kNoReg && got == 0 && shard_bin_cells() >= storage) {
+          // Compaction runs only for the request itself (never the
+          // optional prefetch), only when the bins provably hold enough
+          // cells, and one bounded, counted step at a time until the
+          // take fits or the bins run dry.
+          while (compact_step_locked() != 0) {
+            b = extents_.take(storage);
+            if (b != hist::kNoReg) break;
+          }
+        }
+        if (b == hist::kNoReg) {
+          if (bump_ + storage > max_locations_) {
+            capped = true;
+            break;
+          }
+          b = static_cast<RegId>(bump_);
+          bump_ += storage;
+          if (first == hist::kNoReg) fresh = true;
+        }
+        if (first == hist::kNoReg) {
+          first = b;
+        } else {
+          mag->push_back(b);
+        }
+        ++got;
+      }
+      if (!capped || got > 0) return first;  // the prefetch is optional
+      // The request itself hit the arena cap. Blocks still in limbo will
+      // come back once their grace period ends; with none there, the
+      // arena is genuinely too small (configuration error).
+      if (limbo_.empty()) std::abort();
+      front = limbo_.front_ticket();
+      qm_.count(0, rt::Counter::kAllocCapWait);
+      if (trace_ != nullptr) {
+        trace_->emit_alloc(rt::TraceEventKind::kAllocCapWait, 0, storage,
+                           limbo_.pending_blocks());
       }
     }
-    if (b == hist::kNoReg) {
-      if (bump_ + storage > max_locations_) {
-        if (got > 0) break;  // the prefetch is optional…
-        std::abort();        // …the request is not (configuration error)
-      }
-      b = static_cast<RegId>(bump_);
-      bump_ += storage;
-    }
-    if (first == hist::kNoReg) {
-      first = b;
-    } else {
-      mag->push_back(b);
-    }
-    ++got;
+    // Outside the central lock, so frees and retires go on meanwhile.
+    // The caller must not be inside a transaction: its own would hold
+    // the grace period open forever.
+    while (!qm_.try_elapse_ticket(front)) std::this_thread::yield();
   }
-  return first;
 }
 
 void TxAllocator::put_shared_locked(RegId base, std::uint32_t storage,
@@ -277,28 +319,19 @@ void TxAllocator::put_shared_locked(RegId base, std::uint32_t storage,
 }
 
 std::size_t TxAllocator::retire_limbo_locked() {
-  retired_.clear();
+  // The cheap front check keeps a pass with nothing to retire out of the
+  // trace: the span brackets actual retirement work only.
+  if (!limbo_.front_elapsed()) return 0;
+  if (trace_ != nullptr) {
+    trace_->emit_alloc(rt::TraceEventKind::kLimboRetireBegin);
+  }
   const std::uint64_t batches_before = limbo_.batches_retired();
   const std::size_t n = limbo_.retire(retired_);
-  if (retired_.empty()) return n;
-  if (trace_ != nullptr) {
-    // One instant per retire pass (central lock held): a32 = batches,
-    // a64 = blocks handed back to the shard bins / extent map.
-    trace_->emit_shared(
-        rt::TraceEventKind::kLimboRetire, 0,
-        static_cast<std::uint32_t>(limbo_.batches_retired() - batches_before),
-        static_cast<std::uint64_t>(n));
-  }
-  // Pass 1 (no shard locks): restore cells, route huge blocks straight to
-  // the extent map, and note which shards the binned blocks belong to.
+  // Pass 1 (no shard locks): route huge blocks straight to the extent
+  // map and note which shards the binned blocks belong to. No cell is
+  // written here — alloc() scrubs what it hands out.
   std::uint64_t shard_mask = 0;
   for (const LimboBlock& b : retired_) {
-    const auto base = static_cast<std::size_t>(b.base);
-    // Recycled cells must read as vinit again: a fresh-from-bump block
-    // and a recycled one are indistinguishable to transactions.
-    for (std::uint32_t i = 0; i < b.storage; ++i) {
-      cells_[base + i].store(hist::kVInit, std::memory_order_relaxed);
-    }
     if (b.cls == kHugeClass) {
       extents_.insert(b.base, b.storage);
     } else {
@@ -320,6 +353,14 @@ std::size_t TxAllocator::retire_limbo_locked() {
     publish_mirrors(sh);
   }
   retired_.clear();
+  if (trace_ != nullptr) {
+    // a32 = batches, a64 = blocks handed back to the shard bins / extent
+    // map by this pass.
+    trace_->emit_alloc(
+        rt::TraceEventKind::kLimboRetireEnd, 0,
+        static_cast<std::uint32_t>(limbo_.batches_retired() - batches_before),
+        static_cast<std::uint64_t>(n));
+  }
   return n;
 }
 
@@ -338,8 +379,8 @@ std::size_t TxAllocator::compact_step_locked() {
     ++compactions_;
     qm_.count(0, rt::Counter::kAllocCompaction);
     if (trace_ != nullptr) {
-      trace_->emit_shared(rt::TraceEventKind::kAllocCompaction, 0, 0,
-                          static_cast<std::uint64_t>(spilled));
+      trace_->emit_alloc(rt::TraceEventKind::kAllocCompaction, 0, 0,
+                         static_cast<std::uint64_t>(spilled));
     }
   }
   return spilled;
@@ -380,16 +421,16 @@ void TxAllocator::free(TxHandle h) {
   }
   base_frees_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<rt::SpinLock> guard(central_lock_);
-  std::vector<LimboBlock> single{
-      {h.base, r.storage, static_cast<std::uint32_t>(r.cls)}};
-  limbo_.seal(std::move(single));
+  unbatched_.push_back({h.base, r.storage, static_cast<std::uint32_t>(r.cls)});
+  limbo_.seal(unbatched_);
   retire_limbo_locked();
 }
 
 void TxAllocator::seal_batch_locked(ThreadCache& cache) {
   if (cache.batch_.empty()) return;
-  limbo_.seal(std::move(cache.batch_));
-  cache.batch_.clear();
+  // The seal hands back a drained buffer, so the next batch grows into
+  // recycled capacity instead of a fresh allocation.
+  limbo_.seal(cache.batch_);
   cache.counters_.pending.store(0, std::memory_order_relaxed);
 }
 

@@ -36,6 +36,18 @@
 // class cursor), counted per bounded step as Counter::kAllocCompaction —
 // never the stop-the-store O(free-blocks) event it used to be.
 //
+// Values: every block alloc() returns reads vinit in its n requested
+// cells. Recycled blocks are scrubbed by alloc itself (magazine hit or
+// slow path), outside every lock and on lines the caller is about to
+// fill; blocks fresh off the bump pointer are vinit already. Retirement
+// from limbo therefore writes no cell — stale values in free blocks are
+// never read, because every access goes through a live handle.
+//
+// Arena cap: when a request finds nothing free and the bump pointer
+// would pass max_locations, alloc_slow waits (outside the central lock)
+// for the oldest limbo batch's grace period, retires, and retries —
+// counted as Counter::kAllocCapWait. Only an empty limbo aborts.
+//
 // The privatization-safety story is unchanged from PR 3 — a block is
 // recycled only after a QuiescenceManager grace period covering its
 // free() — batching just amortizes one ticket over many frees
@@ -113,9 +125,9 @@ inline constexpr std::size_t kCompactionSpillBudget = 64;
 class TxAllocator {
  public:
   /// Manages location ids [static_prefix, max_locations); `cells` is the
-  /// heap's value arena (retired blocks are restored to vinit in place).
-  /// `qm` issues the reclamation grace periods. All three outlive the
-  /// allocator (the owning TxHeap / TM instance holds them).
+  /// heap's value arena (alloc() stores vinit into the cells it hands
+  /// out). `qm` issues the reclamation grace periods. All three outlive
+  /// the allocator (the owning TxHeap / TM instance holds them).
   TxAllocator(std::size_t static_prefix, std::size_t max_locations,
               rt::QuiescenceManager& qm, std::atomic<Value>* cells,
               const AllocConfig& config);
@@ -124,6 +136,11 @@ class TxAllocator {
   TxAllocator(const TxAllocator&) = delete;
   TxAllocator& operator=(const TxAllocator&) = delete;
 
+  /// A block of `n` cells, each reading vinit. When the arena is at
+  /// max_locations and nothing free fits, waits for the oldest limbo
+  /// batch's grace period (Counter::kAllocCapWait) and retries; aborts
+  /// only when limbo is empty too. The wait needs the caller outside any
+  /// transaction — its own would keep the grace period open.
   TxHandle alloc(std::size_t n);
   void free(TxHandle h);
 
@@ -144,10 +161,11 @@ class TxAllocator {
     fault_ = fault;
   }
 
-  /// Arm (or disarm, with null) allocator trace instants — refills,
-  /// steals, compaction steps, limbo retirement. Events go to the trace
-  /// domain's shared slot: they fire under shard/central locks on behalf
-  /// of whichever thread hit the slow path, not a stable session stream.
+  /// Arm (or disarm, with null) allocator trace events — refill, steal,
+  /// compaction and cap-wait instants, limbo-retire spans. Events go to
+  /// the trace domain's allocator slot (TraceDomain::emit_alloc): they
+  /// fire under shard/central locks on behalf of whichever thread hit
+  /// the slow path, not a stable session stream.
   void set_trace(rt::TraceDomain* trace) noexcept { trace_ = trace; }
 
   const AllocConfig& config() const noexcept { return config_; }
@@ -230,10 +248,14 @@ class TxAllocator {
   }
 
   /// Magazine-miss / uncached path: home shard bins → sibling steal →
-  /// central tier (see file comment). `cache` may be null (magazines
-  /// disabled).
+  /// central tier (see file comment), waiting at the arena cap (alloc).
+  /// `cache` may be null (magazines disabled). Sets `fresh` when the
+  /// block came off the bump pointer (cells still vinit, no scrub due).
   RegId alloc_slow(alloc::ThreadCache* cache, std::size_t cls,
-                   std::uint32_t storage);
+                   std::uint32_t storage, bool& fresh);
+
+  /// Store vinit into the first `n` cells of a recycled block.
+  void scrub(RegId base, std::size_t n) noexcept;
 
   /// Pop up to `want` class-`cls` blocks from the shard tier: `home`
   /// first, then siblings in ring order (counting a kAllocShardSteal per
@@ -254,8 +276,10 @@ class TxAllocator {
   /// lock held (the shard lock nests under it).
   void put_shared_locked(RegId base, std::uint32_t storage, std::size_t cls);
 
-  /// Retire every elapsed limbo batch: cells back to vinit, blocks
-  /// distributed across the shard bins / extent map. Central lock held.
+  /// Retire every elapsed limbo batch: blocks distributed across the
+  /// shard bins / extent map, no cell written (alloc scrubs). Traced as
+  /// a kLimboRetireBegin/End span when anything retires. Central lock
+  /// held.
   std::size_t retire_limbo_locked();
 
   /// One bounded compaction step: spill ≤ kCompactionSpillBudget blocks
@@ -309,6 +333,9 @@ class TxAllocator {
   std::uint64_t compactions_ = 0;   ///< bounded compaction steps run
   std::size_t compact_cursor_ = 0;  ///< shard the next step resumes at
   std::vector<alloc::LimboBlock> retired_;  ///< retire scratch (central)
+  /// Uncached frees' one-block batch; sealing swaps in a recycled buffer
+  /// (central).
+  std::vector<alloc::LimboBlock> unbatched_;
 
   /// Slow-path trips (shard tier or central); one increment per
   /// alloc_slow, matching Counter::kAllocSharedRefill by construction.

@@ -1,25 +1,40 @@
 #include "tm/alloc/limbo.hpp"
 
+#include <algorithm>
+
 namespace privstm::tm::alloc {
 
-void LimboList::seal(std::vector<LimboBlock>&& blocks) {
+void LimboList::seal(std::vector<LimboBlock>& blocks) {
   if (blocks.empty()) return;
+  if (count_ == ring_.size()) grow();
+  SealedBatch& slot = ring_[(head_ + count_) & (ring_.size() - 1)];
   pending_blocks_ += blocks.size();
-  sealed_.push_back({std::move(blocks), qm_.issue_ticket()});
+  slot.blocks.swap(blocks);
+  slot.ticket = qm_.issue_ticket();
+  blocks.clear();
+  ++count_;
+}
+
+void LimboList::grow() {
+  // Rotate the live batches to the front, then append empty slots; the
+  // rotation swaps slots, so no buffer is reallocated or dropped.
+  std::rotate(ring_.begin(),
+              ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+              ring_.end());
+  head_ = 0;
+  ring_.resize(std::max(kMinRing, 2 * ring_.size()));
 }
 
 std::size_t LimboList::retire(std::vector<LimboBlock>& out) {
   std::size_t blocks = 0;
-  // Cheap elapsed-peek first; only when the front ticket is still open
-  // does the bounded helping attempt (scan start/poll) run.
-  while (!sealed_.empty() &&
-         (qm_.ticket_elapsed(sealed_.front().ticket) ||
-          qm_.try_elapse_ticket(sealed_.front().ticket))) {
-    auto& batch = sealed_.front().blocks;
+  while (front_elapsed()) {
+    auto& batch = ring_[head_].blocks;
     out.insert(out.end(), batch.begin(), batch.end());
     blocks += batch.size();
     pending_blocks_ -= batch.size();
-    sealed_.pop_front();
+    batch.clear();  // keeps the buffer for a later seal
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
     ++batches_retired_;
     qm_.count(0, rt::Counter::kLimboBatchRetired);
   }
@@ -28,7 +43,8 @@ std::size_t LimboList::retire(std::vector<LimboBlock>& out) {
 }
 
 void LimboList::clear() {
-  sealed_.clear();
+  for (SealedBatch& b : ring_) b.blocks.clear();
+  head_ = count_ = 0;
   pending_blocks_ = 0;
   batches_retired_ = blocks_retired_ = 0;
 }

@@ -20,10 +20,17 @@
 // the quarantine, never shorten it.
 //
 // When a batch's grace period elapses its blocks are retired: the list
-// hands them back to the allocator, which restores their cells to vinit
-// and distributes them across the shard bins / the coalescing extent map
-// (allocator.cpp) — so a batch of neighboring small frees can still come
-// back as one large extent.
+// hands them back to the allocator, which distributes them across the
+// shard bins / the coalescing extent map (allocator.cpp) — so a batch of
+// neighboring small frees can still come back as one large extent.
+// Retirement is list work only: a retired block keeps whatever values
+// its last owner left, and alloc() stores vinit into the cells it hands
+// out (no handle reaches a block between free and the next alloc).
+//
+// Sealed batches live in a ring of slots whose buffers are recycled:
+// sealing swaps the caller's batch into a slot and hands back that
+// slot's drained buffer, capacity intact, so steady-state sealing and
+// retiring make no heap allocation.
 //
 // Thread safety: none here — the owning TxAllocator serializes seal and
 // retire under its central lock.
@@ -32,7 +39,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "runtime/quiescence.hpp"
@@ -56,16 +62,34 @@ class LimboList {
   LimboList(const LimboList&) = delete;
   LimboList& operator=(const LimboList&) = delete;
 
-  /// Seal a batch: one ticket for all of its blocks. Steals `blocks`.
-  void seal(std::vector<LimboBlock>&& blocks);
+  /// Seal a batch: one ticket for all of its blocks. `blocks` is swapped
+  /// into a ring slot and comes back empty, holding a drained buffer of
+  /// an earlier batch (its capacity kept for the caller's next batch).
+  void seal(std::vector<LimboBlock>& blocks);
+
+  /// Whether a sealed batch waits in the list.
+  bool empty() const noexcept { return count_ == 0; }
+
+  /// The oldest sealed batch's ticket. Requires !empty().
+  rt::FenceTicket front_ticket() const noexcept {
+    return ring_[head_].ticket;
+  }
+
+  /// Whether the front batch is ready to retire: a cheap elapsed-peek,
+  /// then one bounded helping attempt (scan start/poll). False when
+  /// empty.
+  bool front_elapsed() noexcept {
+    return count_ != 0 && (qm_.ticket_elapsed(ring_[head_].ticket) ||
+                           qm_.try_elapse_ticket(ring_[head_].ticket));
+  }
 
   /// Retire every batch whose grace period has elapsed, appending its
-  /// blocks to `out` — vinit restoration and shard distribution are the
-  /// calling allocator's job, still under its central lock. Front-first —
-  /// tickets are issued in nearly monotonic order, so the deque elapses
-  /// front-first. Counts one Counter::kLimboBatchRetired per batch (the
-  /// caller holds the central lock, which keeps the slot-0 stats cell
-  /// single-writer). Returns blocks retired.
+  /// blocks to `out` — shard distribution is the calling allocator's
+  /// job, still under its central lock. Front-first — tickets are issued
+  /// in nearly monotonic order, so the ring elapses front-first. Counts
+  /// one Counter::kLimboBatchRetired per batch (the caller holds the
+  /// central lock, which keeps the slot-0 stats cell single-writer).
+  /// Returns blocks retired.
   std::size_t retire(std::vector<LimboBlock>& out);
 
   void clear();
@@ -79,11 +103,21 @@ class LimboList {
  private:
   struct SealedBatch {
     std::vector<LimboBlock> blocks;
-    rt::FenceTicket ticket;  ///< grace period gating the whole batch
+    rt::FenceTicket ticket = rt::kNullFenceTicket;  ///< gates the batch
   };
 
+  /// Double the ring (at least kMinRing slots), keeping batch order and
+  /// every slot's buffer.
+  void grow();
+
+  static constexpr std::size_t kMinRing = 16;
+
   rt::QuiescenceManager& qm_;
-  std::deque<SealedBatch> sealed_;
+  /// Power-of-two ring: count_ sealed batches from head_, the remaining
+  /// slots hold drained buffers awaiting reuse.
+  std::vector<SealedBatch> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
   std::size_t pending_blocks_ = 0;
   std::uint64_t batches_retired_ = 0;
   std::uint64_t blocks_retired_ = 0;

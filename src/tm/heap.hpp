@@ -18,14 +18,16 @@
 //    registers (the paper's figures) still run.
 //
 //  * **Blocks.** `alloc(n)` hands out a `TxHandle` naming `n` contiguous
-//    fresh-or-recycled locations (values vinit). Since PR 4 the allocator
-//    behind it is the scalable subsystem in `src/tm/alloc/`: requests are
-//    rounded to size classes, hot alloc/free take no shared lock thanks
-//    to per-thread magazines and batched frees, refills drain a sharded
-//    free store (stealing from sibling shards before ever touching the
-//    central lock), and freed extents split and merge incrementally so
-//    mixed-size churn reuses memory instead of growing the arena forever
-//    (allocator.hpp has the architecture tour; DESIGN.md §11 the shards).
+//    fresh-or-recycled locations (values vinit: alloc scrubs a recycled
+//    block's requested cells itself; retirement writes none). Since PR 4
+//    the allocator behind it is the scalable subsystem in
+//    `src/tm/alloc/`: requests are rounded to size classes, hot
+//    alloc/free take no shared lock thanks to per-thread magazines and
+//    batched frees, refills drain a sharded free store (stealing from
+//    sibling shards before ever touching the central lock), and freed
+//    extents split and merge incrementally so mixed-size churn reuses
+//    memory instead of growing the arena forever (allocator.hpp has the
+//    architecture tour; DESIGN.md §11 the shards).
 //
 //  * **Safe reclamation.** `free(h)` never recycles immediately: frees
 //    are quarantined until a grace period from the shared quiescence
@@ -55,7 +57,8 @@ namespace privstm::tm {
 class TxHeap {
  public:
   /// 4M locations (32 MiB of reserved — not resident — address space) is
-  /// far past any workload here; allocating beyond it aborts
+  /// far past any workload here. An alloc that finds it full waits for
+  /// limbo to drain; one that finds limbo empty too aborts
   /// (configuration error, like overflowing the thread registry).
   static constexpr std::size_t kMaxLocations = std::size_t{1} << 22;
 
@@ -93,7 +96,9 @@ class TxHeap {
 
   /// Allocate a block of `n > 0` locations (rounded up to a size class
   /// internally), recycling freed extents whose grace period elapsed.
-  /// All cells hold vinit. Lock-free on a magazine hit.
+  /// All `n` cells hold vinit. Lock-free on a magazine hit. At the arena
+  /// cap it waits for pending frees' grace periods instead of failing,
+  /// so the caller must then be outside any transaction.
   TxHandle alloc(std::size_t n) { return allocator_.alloc(n); }
 
   /// Deferred free: the block becomes recyclable only after a quiescence

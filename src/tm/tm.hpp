@@ -575,7 +575,10 @@ class TransactionalMemory {
   virtual void reset() = 0;
 
   /// Allocate `n` contiguous heap locations (initially vinit). Thread-safe;
-  /// callable from any thread, inside or outside transactions.
+  /// callable from any thread, inside or outside transactions — except
+  /// that at the arena cap the call waits for pending frees' grace
+  /// periods (TxHeap::alloc), which a caller inside a transaction would
+  /// hold open forever.
   TxHandle tm_alloc(std::size_t n) { return heap_.alloc(n); }
 
   /// Privatization-safe deferred free: the block is recycled only after a

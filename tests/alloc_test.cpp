@@ -3,13 +3,17 @@
 // flush on thread exit, flush on reset, cross-thread free), and the
 // batched limbo's one-ticket-per-batch behavior. heap_test.cpp pins the
 // grace-period *semantics* in the deterministic (uncached)
-// configuration; this file covers the scalable machinery around it.
+// configuration; this file covers the scalable machinery around it,
+// plus the alloc-time vinit scrub on every recycling route and the wait
+// at the arena cap.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "tm/alloc/allocator.hpp"
 #include "tm/alloc/size_class.hpp"
 #include "tm/factory.hpp"
 
@@ -25,6 +29,29 @@ std::unique_ptr<tm::TransactionalMemory> make_tm_with(
   tm::TmConfig config;
   config.alloc = alloc;
   return tm::make_tm(TmKind::kTl2Fused, config);
+}
+
+/// The block's previous owner: commit a non-zero value into every cell.
+void dirty(tm::TmThread& session, TxHandle h) {
+  tm::run_tx_retry(session, [&](tm::TxScope& tx) {
+    for (std::uint32_t i = 0; i < h.size; ++i) tx.write(h.loc(i), 0xBAD0 + i);
+  });
+}
+
+void expect_vinit(const tm::TransactionalMemory& tmi, TxHandle h) {
+  for (std::uint32_t i = 0; i < h.size; ++i) {
+    EXPECT_EQ(tmi.peek(h.loc(i)), hist::kVInit)
+        << "block " << h.base << " cell " << i;
+  }
+}
+
+/// Retire every freed block into the shared store (a free only seals;
+/// its grace period may complete on a later retire attempt).
+void drain_until_free(tm::TransactionalMemory& tmi, std::size_t cells) {
+  for (int i = 0; i < 8 && tmi.heap().free_cells() < cells; ++i) {
+    tmi.heap().drain_limbo();
+  }
+  ASSERT_EQ(tmi.heap().free_cells(), cells);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,6 +352,122 @@ TEST(AllocChurn, HugeBlocksBypassClassesAndStillRecycle) {
   EXPECT_EQ(tmi->heap().limbo_size(), 0u);
   const TxHandle again = tmi->tm_alloc(huge);
   EXPECT_EQ(again.base, h.base) << "huge extent not recycled exact-size";
+}
+
+// ---------------------------------------------------------------------------
+// Recycled blocks: alloc scrubs what the previous owner left.
+// ---------------------------------------------------------------------------
+
+TEST(AllocScrub, MagazineHitHandsOutRecycledBlocksAsVInit) {
+  auto tmi = make_tm_with({.magazine_size = 8, .limbo_batch = 1, .shards = 1});
+  auto session = tmi->make_thread(0, nullptr);
+  // One refill fetches 8 class-4 blocks: 1 handed out, 7 magazine hits.
+  std::vector<TxHandle> blocks;
+  for (int i = 0; i < 8; ++i) blocks.push_back(tmi->tm_alloc(4));
+  std::set<tm::RegId> freed;
+  for (const TxHandle& h : blocks) {
+    dirty(*session, h);
+    tmi->tm_free(h);
+    freed.insert(h.base);
+  }
+  drain_until_free(*tmi, 8u * 4u);
+  // The next refill brings the dirty blocks back, 7 of them through the
+  // magazine fast path.
+  const std::uint64_t hits_before = tmi->heap().magazine_hit_count();
+  for (int i = 0; i < 8; ++i) {
+    const TxHandle h = tmi->tm_alloc(4);
+    EXPECT_TRUE(freed.contains(h.base)) << h.base;
+    expect_vinit(*tmi, h);
+  }
+  EXPECT_EQ(tmi->heap().magazine_hit_count() - hits_before, 7u);
+}
+
+TEST(AllocScrub, ShardRefillAndStealHandOutRecycledBlocksAsVInit) {
+  // Uncached, so each alloc is a refill: from the home shard when the
+  // pinned home owns the block, a steal from every other home.
+  auto tmi = make_tm_with({.magazine_size = 0, .limbo_batch = 1, .shards = 4});
+  auto session = tmi->make_thread(0, nullptr);
+  TxHandle cur = tmi->tm_alloc(6);
+  const tm::RegId base = cur.base;
+  for (std::size_t home = 0; home < tmi->heap().shard_count(); ++home) {
+    dirty(*session, cur);
+    tmi->tm_free(cur);
+    drain_until_free(*tmi, cur.size);
+    ta::TxAllocator::bind_home_shard(home);
+    cur = tmi->tm_alloc(6);
+    ta::TxAllocator::bind_home_shard(ta::TxAllocator::kNoHomeShard);
+    ASSERT_EQ(cur.base, base) << "home " << home;
+    expect_vinit(*tmi, cur);
+  }
+  EXPECT_EQ(tmi->heap().steal_count(), tmi->heap().shard_count() - 1);
+}
+
+TEST(AllocScrub, CompactedExtentHandsOutRecycledCellsAsVInit) {
+  // Two dirty class-4 neighbors merge into the extent a class-8 request
+  // takes (CrossClassReuseCompactsOnceAndIsCounted's shape).
+  auto tmi = make_tm_with({.magazine_size = 0, .limbo_batch = 1, .shards = 1});
+  auto session = tmi->make_thread(0, nullptr);
+  const TxHandle a = tmi->tm_alloc(4);
+  const TxHandle b = tmi->tm_alloc(4);
+  ASSERT_EQ(b.base, a.base + 4) << "bump allocation not adjacent";
+  dirty(*session, a);
+  dirty(*session, b);
+  tmi->tm_free(a);
+  tmi->tm_free(b);
+  const TxHandle merged = tmi->tm_alloc(8);
+  ASSERT_EQ(merged.base, a.base) << "cross-class reuse failed";
+  EXPECT_EQ(tmi->heap().compaction_count(), 1u);
+  expect_vinit(*tmi, merged);
+}
+
+// ---------------------------------------------------------------------------
+// The arena cap: wait out limbo instead of aborting.
+// ---------------------------------------------------------------------------
+
+TEST(AllocCapWait, AllocAtTheCapWaitsForTheLiveTransactionToEnd) {
+  // A bare allocator over a 64-cell arena, filled by four 16-cell blocks.
+  // One block is freed while another thread's transaction is live, so
+  // the next alloc finds nothing free and the bump pointer at the cap:
+  // it must wait for that transaction, then recycle the block.
+  constexpr std::size_t kPrefix = 8;
+  constexpr std::size_t kMax = kPrefix + 64;
+  rt::StatsDomain stats;
+  rt::QuiescenceManager qm(stats, rt::FencePolicy::kSelective,
+                           rt::FenceMode::kEpochCounter);
+  std::vector<std::atomic<tm::Value>> cells(kMax);
+  ta::TxAllocator heap(kPrefix, kMax, qm, cells.data(),
+                       {.magazine_size = 0, .limbo_batch = 1, .shards = 1});
+  std::vector<TxHandle> blocks;
+  for (int i = 0; i < 4; ++i) blocks.push_back(heap.alloc(16));
+  ASSERT_EQ(heap.allocated_end(), kMax);
+
+  const int slot = qm.registry().register_thread();
+  std::atomic<bool> in_tx{false};
+  std::atomic<bool> ended{false};
+  std::thread reader([&] {
+    qm.registry().tx_enter(slot);
+    in_tx.store(true);
+    // Hold the transaction open until the allocator is waiting on it.
+    while (stats.total(rt::Counter::kAllocCapWait) == 0) {
+      std::this_thread::yield();
+    }
+    ended.store(true);
+    qm.registry().tx_exit(slot);
+  });
+  while (!in_tx.load()) std::this_thread::yield();
+  cells[static_cast<std::size_t>(blocks[0].base)].store(7);
+  heap.free(blocks[0]);
+  ASSERT_EQ(heap.limbo_size(), 1u);
+
+  const TxHandle again = heap.alloc(16);
+  EXPECT_TRUE(ended.load()) << "alloc returned inside the grace period";
+  EXPECT_EQ(again.base, blocks[0].base);
+  EXPECT_EQ(cells[static_cast<std::size_t>(again.base)].load(),
+            hist::kVInit);
+  EXPECT_EQ(stats.total(rt::Counter::kAllocCapWait), 1u);
+  EXPECT_EQ(heap.allocated_end(), kMax);
+  reader.join();
+  qm.registry().unregister_thread(slot);
 }
 
 }  // namespace

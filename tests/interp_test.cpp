@@ -228,11 +228,14 @@ TEST(Interp, AllocFreeDrivesTheRealHeapAndRecords) {
   EXPECT_EQ(result.locals[0][3], 32u);
   EXPECT_EQ(tmi->heap().free_count(), 1u);
   // The program's free has (at the latest) been retired by the worker's
-  // thread-exit flush — no transactions were active — so the cells are
-  // back to vinit and the block is reusable.
+  // thread-exit flush — no transactions were active — so the block is
+  // reusable: the same class comes back with both cells vinit again.
   tmi->heap().drain_limbo();
-  EXPECT_EQ(tmi->peek(static_cast<RegId>(base)), hist::kVInit);
   EXPECT_EQ(tmi->heap().limbo_size(), 0u);
+  const tm::TxHandle again = tmi->tm_alloc(2);
+  EXPECT_EQ(again.base, static_cast<RegId>(base));
+  EXPECT_EQ(tmi->peek(again.loc(0)), hist::kVInit);
+  EXPECT_EQ(tmi->peek(again.loc(1)), hist::kVInit);
 
   const auto report = hist::check_wellformed(result.recorded.history);
   EXPECT_TRUE(report.ok()) << report.to_string();
